@@ -419,12 +419,13 @@ def test_benchmark_json_lists_the_metrics_the_runs_print():
         "embed": {"tsne_kl": 1.0},
     }
     rounds = {
-        "market": {"dqn": 1, "table": 1}, "maze": {"maze": 1}, "embed": {"large": 1, "small": 1},
+        "market": {"dqn_0": 1, **{f"{a}_0": 1 for a in workloads.TABLE_AGENTS}}, "maze": {"maze_0": 1, "report": 1},
+        "embed": {"large": 1, "small_0": 1},
     }
-    printed = {"setup_s": "s", "run_s": "s", "peak_rss_mb": "MB"}
     for name, cls in workloads.WORKLOADS.items():
         wl = cls(0, Path("."))
         wl.small = {"iterations": "500"}
-        printed.update({k: u for k, (_, u) in wl.metrics(facts[name], rounds[name]).items()})
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == printed
+        figures = wl.figures(facts[name], rounds[name])
+        assert figures and all(v > 0 for v, _ in figures.values())
+    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == bench_run.END_TO_END
     assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)

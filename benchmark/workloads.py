@@ -1,8 +1,10 @@
-"""The benchmark's three workloads: inputs, CLI calls, output checks, metrics.
+"""The benchmark's three workloads: inputs, CLI calls, output checks, figures.
 
 Each workload writes its own inputs and configs under its work directory,
 names the `hrl-lab` calls of one round, checks a round's artifacts and
-turns the round timings plus the checked artifacts into end-to-end metrics.
+turns the round timings plus the checked artifacts into its own figures
+(throughput of each call, quality of the results). Those go to stderr: the
+result line holds only the end-to-end metrics every workload shares.
 Paths are relative to the checkout root, which is the working directory.
 """
 
@@ -50,6 +52,11 @@ def joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
+def seconds_of(seconds: dict[str, float], kind: str) -> float:
+    """Summed time of the calls named ``<kind>_<n>``."""
+    return sum(t for name, t in seconds.items() if name.rsplit("_", 1)[0] == kind)
+
+
 class Workload:
     name = ""
 
@@ -65,12 +72,12 @@ class Workload:
 
     def check(self, out: Path, ok: set[str]) -> dict:
         """Check the artifacts of the calls named in ``ok`` (those that
-        exited 0) under ``out``; return the facts the metrics need."""
+        exited 0) under ``out``; return the facts the figures need."""
         raise NotImplementedError
 
-    def metrics(self, facts: dict, seconds: dict[str, float]) -> dict:
-        """Workload metrics as name -> (value, unit), from the checked facts
-        and each timed call's mean wall time per round."""
+    def figures(self, facts: dict, seconds: dict[str, float]) -> dict:
+        """Workload figures as name -> (value, unit), from the checked facts
+        and each timed call's fastest CPU time over the run's rounds."""
         raise NotImplementedError
 
 
@@ -80,8 +87,9 @@ class Workload:
 GBM = {"n_symbols": 6, "length": 4000, "drift": 0.0005, "volatility": 0.01}
 # A fixed pool: per-seed work differs up to 4x (an episode that never
 # doubles runs to the end of the data), so a pool drawn from --seed would
-# make run_s measure the pool rather than the code.
-MARKET_SEEDS = (0, 1, 2, 3, 4, 5)
+# make run_s measure the pool rather than the code. Each agent and seed is
+# a call of its own, so that a round is many short timed calls (see run.py).
+MARKET_SEEDS = (0, 1, 2)
 MARKET_EPISODES = 3
 TABLE_AGENTS = ("random", "hardcoded", "tabular", "feudal", "counts", "behaviors")
 INITIAL_CASH = 1000.0
@@ -108,16 +116,12 @@ class Market(Workload):
 
     def prepare(self) -> None:
         common = dict(
-            seeds=joined(MARKET_SEEDS),
             episodes=MARKET_EPISODES,
             initial_cash=INITIAL_CASH,
             target_multiplier=TARGET_MULTIPLIER,
             **GBM,
         )
-        self.dqn_cfg = write_config(self.work / "dqn.conf", agents="dqn", **common)
-        self.table_cfg = write_config(
-            self.work / "table.conf", agents=joined(TABLE_AGENTS), **common
-        )
+        self.gbm_cfg = write_config(self.work / "gbm.conf", **common)
         self.fixture_cfg = write_config(
             self.work / "fixture.conf",
             agents=joined(FIXTURE_AGENTS),
@@ -129,8 +133,13 @@ class Market(Workload):
 
     def calls(self, out: Path) -> list[Call]:
         return [
-            Call("dqn", ("market", "--config", str(self.dqn_cfg), "--out", str(out / "dqn"))),
-            Call("table", ("market", "--config", str(self.table_cfg), "--out", str(out / "table"))),
+            *(
+                Call(f"{agent}_{seed}", ("market", "--config", str(self.gbm_cfg), "--out",
+                                         str(out / f"{agent}_{seed}"), "--set", f"seeds={seed}",
+                                         "--set", f"agents={agent}"))
+                for seed in MARKET_SEEDS
+                for agent in ("dqn", *TABLE_AGENTS)
+            ),
             Call(
                 "fixture",
                 ("market", "--config", str(self.fixture_cfg), "--out", str(out / "fixture")),
@@ -151,8 +160,11 @@ class Market(Workload):
 
     def check(self, out: Path, ok: set[str]) -> dict:
         length = GBM["length"]
-        logs = self._logs(out / "dqn", ("dqn",), MARKET_SEEDS, length)
-        logs.update(self._logs(out / "table", TABLE_AGENTS, MARKET_SEEDS, length))
+        logs: dict[str, list] = {}
+        for seed in MARKET_SEEDS:
+            for agent in ("dqn", *TABLE_AGENTS):
+                rows = self._logs(out / f"{agent}_{seed}", (agent,), (seed,), length)[agent]
+                logs.setdefault(agent, []).extend(rows)
         ticks = {
             a: sum(checks.episode_ticks(r[2], length, START_TICK.get(a, 1)) for r in rows)
             for a, rows in logs.items()
@@ -176,11 +188,13 @@ class Market(Workload):
             "ticks_to_double": {a: final_ticks(a) for a in ("feudal", "tabular", "dqn")},
         }
 
-    def metrics(self, facts: dict, seconds: dict[str, float]) -> dict:
+    def figures(self, facts: dict, seconds: dict[str, float]) -> dict:
         ttd = facts["ticks_to_double"]
         return {
-            "dqn_ticks_per_s": (facts["dqn_ticks"] / seconds["dqn"], "ticks/s"),
-            "table_ticks_per_s": (facts["table_ticks"] / seconds["table"], "ticks/s"),
+            "dqn_ticks_per_s": (facts["dqn_ticks"] / seconds_of(seconds, "dqn"), "ticks/s"),
+            "table_ticks_per_s": (
+                facts["table_ticks"] / sum(seconds_of(seconds, a) for a in TABLE_AGENTS), "ticks/s"
+            ),
             "feudal_ticks_to_double": (ttd["feudal"], "ticks"),
             "tabular_ticks_to_double": (ttd["tabular"], "ticks"),
             "dqn_ticks_to_double": (ttd["dqn"], "ticks"),
@@ -192,8 +206,9 @@ class Market(Workload):
 MAZE_FILE = Path("fixtures/maze4x4.txt")
 MAZE_AGENTS = ("flat", "feudal_quadrant", "feudal_direction")
 # Fixed for the same reason as MARKET_SEEDS: the convergence medians then
-# repeat exactly on every run.
-MAZE_SEEDS = tuple(range(30))
+# repeat exactly on every run. One call per group of seeds.
+MAZE_SEEDS = tuple(range(20))
+MAZE_GROUPS = tuple(MAZE_SEEDS[i:i + 5] for i in range(0, len(MAZE_SEEDS), 5))
 MAZE_EPISODES = 500
 STEP_CAP = 1000
 
@@ -206,16 +221,20 @@ class Maze(Workload):
             self.work / "maze.conf",
             maze_file=MAZE_FILE,
             agents=joined(MAZE_AGENTS),
-            seeds=joined(MAZE_SEEDS),
             episodes=MAZE_EPISODES,
             step_cap=STEP_CAP,
         )
         self.report_cfg = write_config(self.work / "report.conf", metric="steps", bin_width=25)
 
     def calls(self, out: Path) -> list[Call]:
-        logs = [str(out / "maze" / f"maze_{a}.csv") for a in MAZE_AGENTS]
+        # The report renders the first group's three logs.
+        logs = [str(out / "maze_0" / f"maze_{a}.csv") for a in MAZE_AGENTS]
         return [
-            Call("maze", ("maze", "--config", str(self.maze_cfg), "--out", str(out / "maze"))),
+            *(
+                Call(f"maze_{g}", ("maze", "--config", str(self.maze_cfg), "--out",
+                                   str(out / f"maze_{g}"), "--set", "seeds=" + joined(seeds)))
+                for g, seeds in enumerate(MAZE_GROUPS)
+            ),
             Call(
                 "report",
                 ("report", "--config", str(self.report_cfg), "--out", str(out / "report"),
@@ -226,16 +245,19 @@ class Maze(Workload):
     def check(self, out: Path, ok: set[str]) -> dict:
         x_dim, y_dim, shortest = checks.maze_shortest_path(MAZE_FILE)
         cost = 0.1 / (x_dim * y_dim)
-        checks.check_dir_files(out / "maze", {f"maze_{a}.csv" for a in MAZE_AGENTS})
-        logs = {
-            a: checks.check_maze_log(
-                out / "maze" / f"maze_{a}.csv", a, MAZE_SEEDS, MAZE_EPISODES,
-                STEP_CAP, cost, shortest,
-            )
-            for a in MAZE_AGENTS
-        }
+        groups = []
+        for g, seeds in enumerate(MAZE_GROUPS):
+            checks.check_dir_files(out / f"maze_{g}", {f"maze_{a}.csv" for a in MAZE_AGENTS})
+            groups.append({
+                a: checks.check_maze_log(
+                    out / f"maze_{g}" / f"maze_{a}.csv", a, seeds, MAZE_EPISODES,
+                    STEP_CAP, cost, shortest,
+                )
+                for a in MAZE_AGENTS
+            })
+        logs = {a: [row for group in groups for row in group[a]] for a in MAZE_AGENTS}
         checks.check_dir_files(out / "report", {"curves.svg", "histogram.svg", "summary.csv"})
-        checks.check_summary(out / "report" / "summary.csv", logs)
+        checks.check_summary(out / "report" / "summary.csv", groups[0])
         checks.check_svg(out / "report" / "curves.svg")
         checks.check_svg(out / "report" / "histogram.svg")
 
@@ -250,10 +272,10 @@ class Maze(Workload):
             "convergence": {a: convergence(a) for a in ("flat", "feudal_quadrant")},
         }
 
-    def metrics(self, facts: dict, seconds: dict[str, float]) -> dict:
+    def figures(self, facts: dict, seconds: dict[str, float]) -> dict:
         conv = facts["convergence"]
         return {
-            "maze_steps_per_s": (facts["steps"] / seconds["maze"], "steps/s"),
+            "maze_steps_per_s": (facts["steps"] / seconds_of(seconds, "maze"), "steps/s"),
             "feudal_convergence_episodes": (conv["feudal_quadrant"], "episodes"),
             "flat_convergence_episodes": (conv["flat"], "episodes"),
         }
@@ -263,11 +285,15 @@ class Maze(Workload):
 
 WINDOW = 10
 N_WINDOWS = 300
+# 200 iterations, not the default 1000: the fit is one timed call, and a
+# shorter call lets a run repeat it more often. The work per iteration,
+# O(n^2) on 300 windows, is the same.
 LARGE = {
-    "window": WINDOW, "perplexity": 30, "iterations": 1000, "k": 3, "n_examples": 5, "eps": 0.05,
+    "window": WINDOW, "perplexity": 30, "iterations": 200, "k": 3, "n_examples": 5, "eps": 0.05,
 }
 SMALL_CONFIG = Path("configs/embed.conf")
-SMALL_FITS = 40
+SMALL_CALLS = 8
+SMALL_FITS = 5  # per call
 # README defaults for keys the shipped config leaves out.
 EMBED_DEFAULTS = {"window": "10", "perplexity": "30", "iterations": "1000", "k": "3",
                   "n_examples": "5", "eps": "0.05"}
@@ -310,16 +336,20 @@ class Embed(Workload):
         self.large_cfg = write_config(
             self.work / "large.conf", telemetry_csv=self.telemetry, seeds=self.seed, **LARGE
         )
-        self.small_seeds = tuple(self.seed * SMALL_FITS + i for i in range(SMALL_FITS))
+        first = self.seed * SMALL_CALLS * SMALL_FITS
+        self.small_seeds = tuple(
+            tuple(range(first + c * SMALL_FITS, first + (c + 1) * SMALL_FITS))
+            for c in range(SMALL_CALLS)
+        )
         self.small = {**EMBED_DEFAULTS, **read_config(SMALL_CONFIG)}
 
     def calls(self, out: Path) -> list[Call]:
         return [
             Call("large", ("embed", "--config", str(self.large_cfg), "--out", str(out / "large"))),
-            Call(
-                "small",
-                ("embed", "--config", str(SMALL_CONFIG), "--out", str(out / "small"),
-                 "--set", "seeds=" + joined(self.small_seeds)),
+            *(
+                Call(f"small_{c}", ("embed", "--config", str(SMALL_CONFIG), "--out",
+                                    str(out / f"small_{c}"), "--set", "seeds=" + joined(seeds)))
+                for c, seeds in enumerate(self.small_seeds)
             ),
         ]
 
@@ -351,16 +381,17 @@ class Embed(Workload):
         random_layout = 1e-4 * np.random.default_rng(self.seed).standard_normal(coords.shape)
         kl_random = checks.layout_kl(p, random_layout)
         require(kl < kl_random, f"large fit: KL {kl:.4f} >= a random layout's {kl_random:.4f}")
-        self._check_fits(
-            out / "small", self.small_seeds, Path(self.small["telemetry_csv"]), self.small
-        )
+        for c, seeds in enumerate(self.small_seeds):
+            self._check_fits(
+                out / f"small_{c}", seeds, Path(self.small["telemetry_csv"]), self.small
+            )
         return {"tsne_kl": kl}
 
-    def metrics(self, facts: dict, seconds: dict[str, float]) -> dict:
-        small_iters = int(self.small["iterations"]) * SMALL_FITS
+    def figures(self, facts: dict, seconds: dict[str, float]) -> dict:
+        small_iters = int(self.small["iterations"]) * SMALL_CALLS * SMALL_FITS
         return {
             "tsne_large_iters_per_s": (LARGE["iterations"] / seconds["large"], "iterations/s"),
-            "tsne_small_iters_per_s": (small_iters / seconds["small"], "iterations/s"),
+            "tsne_small_iters_per_s": (small_iters / seconds_of(seconds, "small"), "iterations/s"),
             "tsne_kl": (facts["tsne_kl"], "nats"),
         }
 
