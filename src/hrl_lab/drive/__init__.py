@@ -2,11 +2,9 @@
 
 Telemetry windows -> exact t-SNE embedding -> k-means centroids as
 subroutine IDs (with the shift rule that window tau borrows the previous
-window's ID), plus the image-augmentation kernels used by the steering
-pipeline.
+window's ID) -> CSV reports of the windows nearest each centroid.
 """
 
-from hrl_lab.drive.augment import gradient_filter, hflip_negate, normalize_image
 from hrl_lab.drive.cluster import (
     CentroidSet,
     assign_subroutine,
@@ -40,13 +38,10 @@ __all__ = [
     "assign_subroutine",
     "causal_subroutine_id",
     "embedding_csv",
-    "gradient_filter",
-    "hflip_negate",
     "kl_divergence",
     "kmeans_fit",
     "load_telemetry",
     "nearest_windows_report",
-    "normalize_image",
     "perplexity_calibration",
     "sign_label",
     "tsne_fit",

@@ -8,13 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from hrl_lab.harness.config import ConfigError, load_config, parse_config_text
+from hrl_lab.harness.config import ConfigError, ExperimentConfig, load_config
 from hrl_lab.harness.experiments import run_experiment
 from hrl_lab.harness.runlog import read_runlog
 from hrl_lab.harness.summary import summarize
-from hrl_lab.harness.svg import HistogramSpec, render_curves, render_histogram
+from hrl_lab.harness.svg import render_curves, render_histogram
+
+
+def _assignment(item: str) -> tuple[str, str]:
+    key, sep, value = item.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {item!r}")
+    return key.strip(), value.strip()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--set",
             dest="assignments",
+            type=_assignment,
             action="append",
             default=[],
             metavar="KEY=VALUE",
@@ -45,12 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in args.assignments:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        out[key.strip()] = value.strip()
+    out = dict(args.assignments)
     if args.seed is not None:
         out["seeds"] = str(args.seed)
     if args.out is not None:
@@ -58,46 +60,13 @@ def _overrides(args: argparse.Namespace) -> dict[str, str]:
     return out
 
 
-def _report(args: argparse.Namespace) -> None:
-    try:
-        raw = parse_config_text(Path(args.config).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    raw.update(_overrides(args))
-
-    if "logs" not in raw:
-        raise ConfigError("report configs need logs = <csv,csv,...>")
-    log_paths = [p.strip() for p in raw["logs"].split(",") if p.strip()]
-    missing = [p for p in log_paths if not Path(p).is_file()]
-    if missing:
-        raise ConfigError(f"log files do not exist: {missing}")
-    logs = [read_runlog(p) for p in log_paths]
-
-    metric = raw.get("metric", "steps")
-    bounds = None
-    if "bounds" in raw:
-        try:
-            lo, hi = (float(tok) for tok in raw["bounds"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bounds must be lo,hi: {raw['bounds']!r}") from exc
-        bounds = (lo, hi)
-    try:
-        spec = HistogramSpec(
-            bin_width=float(raw["bin_width"]) if "bin_width" in raw else None,
-            bin_count=int(raw["bin_count"]) if "bin_count" in raw else None,
-            bounds=bounds,
-            shared_bounds=raw.get("shared_bounds", "true").lower() != "false",
-        )
-        curves = render_curves(logs, metric=metric)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _report(cfg: ExperimentConfig) -> None:
+    logs = [read_runlog(p) for p in cfg.params["logs"]]
     durations = {log.agent: [r.steps for r in log.rows] for log in logs}
-
-    out_dir = Path(raw.get("out", "out"))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "curves.svg").write_text(curves)
-    (out_dir / "histogram.svg").write_text(render_histogram(durations, spec))
-    (out_dir / "summary.csv").write_text(summarize(logs))
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    (cfg.out_dir / "curves.svg").write_text(render_curves(logs, metric=cfg.params["metric"]))
+    (cfg.out_dir / "histogram.svg").write_text(render_histogram(durations, cfg.params["histogram"]))
+    (cfg.out_dir / "summary.csv").write_text(summarize(logs))
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -106,10 +75,11 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.kind == "report":
-            _report(args)
+        cfg = load_config(args.kind, args.config, _overrides(args))
+        if cfg.kind == "report":
+            _report(cfg)
         else:
-            run_experiment(load_config(args.kind, args.config, _overrides(args)))
+            run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -41,8 +41,6 @@ MARKET_AGENTS = {
     "behaviors": run_multiworker_behaviors,
 }
 
-MAZE_AGENTS = ("flat", "feudal_quadrant", "feudal_direction")
-
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute the configured runs and write one artifact file per output.
@@ -50,12 +48,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     Seeds always run (and merge) in the order given, so the same config
     yields the same bytes.
     """
+    drivers = {"maze": _maze_experiment, "market": _market_experiment, "embed": _embed_experiment}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.kind == "maze":
-        return _maze_experiment(cfg)
-    if cfg.kind == "market":
-        return _market_experiment(cfg)
-    return _embed_experiment(cfg)
+    return drivers[cfg.kind](cfg)
 
 
 def _write_logs(cfg: ExperimentConfig, logs: list[RunLog]) -> list[Path]:
@@ -68,27 +63,19 @@ def _write_logs(cfg: ExperimentConfig, logs: list[RunLog]) -> list[Path]:
 
 
 def _maze_experiment(cfg: ExperimentConfig) -> list[Path]:
-    if "maze_file" not in cfg.params:
-        raise ConfigError("maze experiments need a maze_file")
     spec = load_maze(cfg.params["maze_file"])
-    episodes = cfg.get_int("episodes", 500)
-    step_cap = cfg.get_int("step_cap", 1000)
+    episodes, step_cap = cfg.params["episodes"], cfg.params["step_cap"]
 
     logs = []
     for agent in cfg.agents:
-        if agent not in MAZE_AGENTS:
-            raise ConfigError(f"unknown maze agent {agent!r}; choose from {MAZE_AGENTS}")
         log = RunLog(agent=agent)
         for seed in cfg.seeds:
             if agent == "flat":
                 run = run_flat_q(spec, episodes=episodes, seed=seed, step_cap=step_cap)
             else:
+                goal_mode = agent.removeprefix("feudal_")
                 run = run_maze_feudal(
-                    spec,
-                    episodes=episodes,
-                    seed=seed,
-                    goal_mode=agent.removeprefix("feudal_"),
-                    step_cap=step_cap,
+                    spec, episodes=episodes, seed=seed, goal_mode=goal_mode, step_cap=step_cap
                 )
             for rec in run.episodes:
                 if rec.role == "worker":
@@ -98,77 +85,47 @@ def _maze_experiment(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _market_data(cfg: ExperimentConfig, seed: int):
-    if "prices_csv" in cfg.params:
-        if "sectors_csv" not in cfg.params:
-            raise ConfigError("prices_csv needs a matching sectors_csv")
-        return load_csv(cfg.params["prices_csv"], cfg.params["sectors_csv"])
-    return synth_gbm(
-        n_symbols=cfg.get_int("n_symbols", 6),
-        length=cfg.get_int("length", 4000),
-        drift=cfg.get_float("drift", 0.0005),
-        volatility=cfg.get_float("volatility", 0.01),
-        seed=seed,
-    )
+    p = cfg.params
+    if p["prices_csv"] is not None:
+        return load_csv(p["prices_csv"], p["sectors_csv"])
+    return synth_gbm(p["n_symbols"], p["length"], p["drift"], p["volatility"], seed=seed)
 
 
 def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
-    episodes = cfg.get_int("episodes", 0)
-    for agent in cfg.agents:
-        if agent not in MARKET_AGENTS:
-            raise ConfigError(
-                f"unknown market agent {agent!r}; choose from {tuple(MARKET_AGENTS)}"
-            )
-    env_cfg = EnvConfig(
-        initial_cash=cfg.get_float("initial_cash", 1000.0),
-        target_multiplier=cfg.get_float("target_multiplier", 2.0),
-    )
+    # Zero means "each runner's own default episode budget".
+    kwargs = {"episodes": cfg.params["episodes"]} if cfg.params["episodes"] > 0 else {}
+    env_cfg = EnvConfig(cfg.params["initial_cash"], cfg.params["target_multiplier"])
 
     logs = {agent: RunLog(agent=agent) for agent in cfg.agents}
     for seed in cfg.seeds:
         data = _market_data(cfg, seed)
         for agent in cfg.agents:
             env = MarketEnv(data, env_cfg)
-            # Zero means "each runner's own default episode budget".
-            kwargs = {"episodes": episodes} if episodes > 0 else {}
             run = MARKET_AGENTS[agent](env, seed=seed, **kwargs)
             for rec in run.records:
-                logs[agent].append(
-                    RunRow(
-                        seed,
-                        rec.episode,
-                        rec.ticks_to_double,
-                        rec.cumulative_reward,
-                        rec.final_value,
-                    )
-                )
+                row = (rec.episode, rec.ticks_to_double, rec.cumulative_reward, rec.final_value)
+                logs[agent].append(RunRow(seed, *row))
     return _write_logs(cfg, [logs[a] for a in cfg.agents])
 
 
 def _embed_experiment(cfg: ExperimentConfig) -> list[Path]:
-    if "telemetry_csv" not in cfg.params:
-        raise ConfigError("embed experiments need a telemetry_csv")
-    series = load_telemetry(cfg.params["telemetry_csv"])
-    windows = window_telemetry(series, m=cfg.get_int("window", 10))
+    p = cfg.params
+    series = load_telemetry(p["telemetry_csv"])
+    windows = window_telemetry(series, m=p["window"])
     if not windows:
         raise ConfigError("telemetry too short for the configured window length")
     vectors = np.stack([w.vector for w in windows])
-    tsne_cfg = TsneConfig(
-        perplexity=cfg.get_float("perplexity", 30.0),
-        iterations=cfg.get_int("iterations", 1000),
-    )
-    k = cfg.get_int("k", 3)
-    n_examples = cfg.get_int("n_examples", 5)
-    eps = cfg.get_float("eps", 0.05)
+    tsne_cfg = TsneConfig(perplexity=p["perplexity"], iterations=p["iterations"])
 
     paths = []
     for seed in cfg.seeds:
         emb = tsne_fit(vectors, config=tsne_cfg, seed=seed)
-        cs = kmeans_fit(emb.coords, k=k, seed=seed)
+        cs = kmeans_fit(emb.coords, k=p["k"], seed=seed)
         embed_path = cfg.out_dir / f"embed_{seed}.csv"
-        embed_path.write_text(embedding_csv(emb.coords, cs, windows, eps=eps))
+        embed_path.write_text(embedding_csv(emb.coords, cs, windows, eps=p["eps"]))
         report_path = cfg.out_dir / f"report_{seed}.csv"
         report_path.write_text(
-            nearest_windows_report(emb.coords, cs, windows, n_examples=n_examples, eps=eps)
+            nearest_windows_report(emb.coords, cs, windows, p["n_examples"], eps=p["eps"])
         )
         paths.extend([embed_path, report_path])
     return paths

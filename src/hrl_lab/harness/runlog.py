@@ -54,9 +54,6 @@ class RunLog:
     def steps_series(self, seed: int) -> list[int]:
         return [r.steps for r in self.rows if r.seed == seed]
 
-    def reward_series(self, seed: int) -> list[float]:
-        return [r.reward for r in self.rows if r.seed == seed]
-
 
 def write_runlog(log: RunLog, path: str | Path) -> None:
     path = Path(path)

@@ -271,7 +271,6 @@ class DqnConfig:
     the bootstrapped next-state value is then the same whatever action was
     taken, so it adds variance to the target without ordering the actions."""
 
-    price_window: int = 3
     hidden_sizes: tuple[int, ...] = (32, 64, 64)
     buffer_capacity: int = 5000
     train_steps: int = 1
@@ -279,8 +278,6 @@ class DqnConfig:
     lr: float = 3e-3
 
     def __post_init__(self) -> None:
-        if self.price_window < 1:
-            raise ValueError(f"price_window must be >= 1, got {self.price_window}")
         if self.train_steps < 1:
             raise ValueError(f"train_steps must be >= 1, got {self.train_steps}")
 

@@ -138,19 +138,6 @@ def portfolio_value(p: Portfolio, prices: dict[str, float]) -> float:
     return total
 
 
-def sector_value(
-    p: Portfolio, sector: str, prices: dict[str, float], sector_of: dict[str, str]
-) -> float:
-    """Mark-to-market value of the holdings in one sector; cash excluded."""
-    if sector not in SECTORS:
-        raise ValueError(f"unknown sector {sector!r}")
-    return sum(
-        n * prices[sym]
-        for sym, n in p.shares.items()
-        if n and sector_of[sym] == sector
-    )
-
-
 class TradeAction(IntEnum):
     BUY = 0
     HOLD = 1

@@ -172,15 +172,6 @@ class MazeLevel:
     def map_cell(self, fine_cell: Cell) -> Cell:
         return (fine_cell[0] // self.factor, fine_cell[1] // self.factor)
 
-    def parent_cells(self, coarse_cell: Cell) -> set[Cell]:
-        """Finest-level cells covered by the given cell of this level."""
-        f = self.factor
-        return {
-            (coarse_cell[0] * f + i, coarse_cell[1] * f + j)
-            for i in range(f)
-            for j in range(f)
-        }
-
 
 def _coarsen(spec: MazeSpec) -> MazeSpec:
     """Halve both dimensions; a coarse passage is open iff any fine passage

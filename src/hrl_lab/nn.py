@@ -4,20 +4,16 @@ ReLU hidden layers, identity output, mean-squared-error loss, Adam, and a
 central-difference gradient check. Everything takes an explicit rng or seed;
 there is no hidden global state.
 
-Two ways to train. ``adam_step`` is the functional one: it returns fresh
-params and leaves its input untouched. ``adam_update`` is the in-place one
-for hot loops: ``flatten`` packs the params into one flat buffer whose
-weights and biases are views, and ``adam_update`` changes that buffer in
-place with preallocated scratch, using the same per-element operations in
-the same order, so both give bitwise-equal params and moments. Likewise
-``backward`` accepts the activations from ``trace`` so that a training step
-runs the forward pass once. Products use ``ndarray.dot``, which costs less
-per call than ``@`` on small 2-D operands.
+Training runs in place: ``flatten`` packs the params into one flat buffer
+whose weights and biases are views, and ``adam_update`` changes that buffer
+with preallocated scratch. Likewise ``backward`` accepts the activations
+from ``trace`` so that a training step runs the forward pass once, and can
+write its gradients into the ``flatten`` views. Products use
+``ndarray.dot``, which costs less per call than ``@`` on small 2-D operands.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,17 +203,6 @@ def adam_update(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
     flat -= step
 
 
-def adam_step(
-    state: AdamState,
-    params: MlpParams,
-    grads: tuple[list[np.ndarray], list[np.ndarray]],
-) -> MlpParams:
-    """One Adam update. Advances the state in place, returns fresh params."""
-    flat, new = flatten(params)
-    adam_update(state, flat, MlpParams(*grads).flat())
-    return new
-
-
 def gradient_check(
     spec: MlpSpec, seed: int, h: float = 1e-5, backward_fn=backward
 ) -> float:
@@ -254,37 +239,3 @@ def gradient_check(
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-4)
     return float(np.max(np.abs(analytic - numeric) / denom))
-
-
-def save_checkpoint(params: MlpParams, path) -> None:
-    """Versioned CSV dump; floats go through repr so loads are bitwise."""
-    with open(path, "w", newline="") as fh:
-        fh.write("# mlp-checkpoint v1\n")
-        sizes = [params.weights[0].shape[1]] + [w.shape[0] for w in params.weights]
-        fh.write("layers," + ",".join(str(n) for n in sizes) + "\n")
-        w = csv.writer(fh)
-        for li, arr in enumerate(params.weights):
-            for (i, j), v in np.ndenumerate(arr):
-                w.writerow(["w", li, i, j, repr(float(v))])
-        for li, arr in enumerate(params.biases):
-            for (i,), v in np.ndenumerate(arr):
-                w.writerow(["b", li, i, 0, repr(float(v))])
-
-
-def load_checkpoint(path) -> MlpParams:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "# mlp-checkpoint v1":
-            raise ValueError(f"not a recognised checkpoint: {header!r}")
-        sizes = [int(n) for n in fh.readline().strip().split(",")[1:]]
-        spec = MlpSpec(tuple(sizes))
-        params = MlpParams(
-            [np.zeros((o, i)) for i, o in zip(spec.layer_sizes, spec.layer_sizes[1:])],
-            [np.zeros(o) for o in spec.layer_sizes[1:]],
-        )
-        for kind, li, i, j, v in csv.reader(fh):
-            if kind == "w":
-                params.weights[int(li)][int(i), int(j)] = float(v)
-            else:
-                params.biases[int(li)][int(i)] = float(v)
-    return params

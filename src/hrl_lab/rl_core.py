@@ -7,7 +7,6 @@ used by the deep-Q agent.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple
@@ -99,24 +98,6 @@ class QTable:
                 raise UnknownStateError(state)
             r = self.rows[state] = np.zeros(self.n_actions)
         return r
-
-    def to_csv(self, path) -> None:
-        """Write ``state_id,action_id,value`` rows for inspection and fixtures."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["state_id", "action_id", "value"])
-            for state in sorted(self.rows, key=repr):
-                for a, v in enumerate(self.rows[state]):
-                    w.writerow([repr(state), a, repr(float(v))])
-
-    @classmethod
-    def from_csv(cls, path, n_actions: int) -> "QTable":
-        """Read a table written by to_csv; states come back as their repr strings."""
-        table = cls(n_actions)
-        with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                table.row(rec["state_id"])[int(rec["action_id"])] = float(rec["value"])
-        return table
 
 
 def q_update(table: QTable, params: LearningParams, t: Transition) -> float:

@@ -5,10 +5,7 @@ from hrl_lab.drive import (
     SignLabel,
     TelemetrySeries,
     TelemetryWindow,
-    gradient_filter,
-    hflip_negate,
     load_telemetry,
-    normalize_image,
     sign_label,
     window_telemetry,
 )
@@ -133,84 +130,3 @@ def test_sign_label_all_positive_property():
     for _ in range(20):
         angles = rng.uniform(0.1, 1.0, size=8)
         assert sign_label(window_with_angles(angles), eps=0.05) is SignLabel.POSITIVE
-
-
-def test_hflip_negate_oracle():
-    assert np.array_equal(hflip_negate(np.array([0.3, -0.1])), [-0.3, 0.1])
-
-
-def test_hflip_negate_is_involution():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=50)
-    assert np.array_equal(hflip_negate(hflip_negate(a)), a)
-
-
-def test_hflip_negate_fixes_zero():
-    assert np.array_equal(hflip_negate(np.zeros(4)), np.zeros(4))
-
-
-def test_gradient_filter_single_row_oracle():
-    out = gradient_filter(np.array([[0.0, 1.0, 4.0, 9.0]]), axis="horizontal")
-    assert np.array_equal(out, [[-4.0, -8.0]])
-
-
-def test_gradient_filter_constant_image():
-    out = gradient_filter(np.full((4, 5), 3.7), axis="horizontal")
-    assert out.shape == (4, 3)
-    assert np.all(out == 0.0)
-
-
-def test_gradient_filter_unit_ramp():
-    img = np.tile(np.arange(6, dtype=float), (2, 1))
-    out = gradient_filter(img, axis="horizontal")
-    assert np.all(out == -2.0)
-
-
-def test_gradient_filter_vertical_matches_transposed_horizontal():
-    rng = np.random.default_rng(11)
-    img = rng.normal(size=(5, 7))
-    v = gradient_filter(img, axis="vertical")
-    h = gradient_filter(img.T, axis="horizontal").T
-    assert np.array_equal(v, h)
-
-
-def test_gradient_filter_shape_shrinks_by_two():
-    img = np.zeros((6, 9))
-    assert gradient_filter(img, axis="horizontal").shape == (6, 7)
-    assert gradient_filter(img, axis="vertical").shape == (4, 9)
-
-
-def test_gradient_filter_too_small_input():
-    with pytest.raises(ValueError):
-        gradient_filter(np.zeros((4, 2)), axis="horizontal")
-    with pytest.raises(ValueError):
-        gradient_filter(np.zeros((2, 4)), axis="vertical")
-
-
-def test_gradient_filter_rejects_bad_axis_and_ndim():
-    with pytest.raises(ValueError):
-        gradient_filter(np.zeros((3, 3)), axis="diagonal")
-    with pytest.raises(ValueError):
-        gradient_filter(np.zeros(5), axis="horizontal")
-
-
-def test_normalize_image_endpoints():
-    out = normalize_image(np.array([[0.0, 255.0]]))
-    assert np.array_equal(out, [[-1.0, 1.0]])
-
-
-def test_normalize_image_constant_is_zero():
-    assert np.all(normalize_image(np.full((3, 3), 42.0)) == 0.0)
-
-
-def test_normalize_image_range_property():
-    rng = np.random.default_rng(5)
-    img = rng.uniform(-3, 90, size=(8, 8))
-    out = normalize_image(img)
-    assert out.min() == -1.0
-    assert out.max() == 1.0
-
-
-def test_normalize_image_rejects_empty():
-    with pytest.raises(ValueError):
-        normalize_image(np.zeros((0, 4)))

@@ -50,7 +50,8 @@ def test_load_config_with_overrides(tmp_path):
     cfg = load_config("maze", p, {"seeds": "7", "episodes": "12"})
     assert cfg.seeds == (7,)
     assert cfg.agents == ("flat",)
-    assert cfg.get_int("episodes", 0) == 12
+    assert cfg.params["episodes"] == 12
+    assert cfg.params["step_cap"] == 1000
 
 
 def test_config_requires_a_seed(tmp_path):
@@ -67,9 +68,8 @@ def test_config_missing_fixture(tmp_path):
 
 def test_config_bad_numeric_value(tmp_path):
     p = write_config(tmp_path, f"maze_file = {MAZE_FIXTURE}\nepisodes = many\n")
-    cfg = load_config("maze", p)
     with pytest.raises(ConfigError, match="episodes"):
-        cfg.get_int("episodes", 0)
+        load_config("maze", p)
 
 
 def test_runlog_append_guards_episode_order():
@@ -357,3 +357,26 @@ def test_cli_exit_codes_for_config_errors(tmp_path):
 def test_cli_bad_usage_is_exit_2():
     assert main(["unknown-kind"]) == 2
     assert main(["maze"]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind,assignment",
+    [
+        ("market", "episodez=5"),
+        ("market", "episodes=-1"),
+        ("report", "bin_widht=3"),
+        ("report", "seeds=x"),
+        ("embed", "agents=flat"),
+        ("maze", "episodes=0"),
+        ("embed", "k=0"),
+    ],
+)
+def test_cli_rejects_bad_keys_and_values(kind, assignment, tmp_path, monkeypatch, capsys):
+    """Each probe is a config error (exit 2) whose message names the key,
+    caught before any run starts."""
+    monkeypatch.chdir(ROOT)  # the shipped configs name fixtures relative to the root
+    argv = [kind, "--config", f"configs/{kind}.conf", "--out", str(tmp_path), "--set", assignment]
+    if kind == "report":
+        argv += ["--set", "logs=out/maze/maze_flat.csv"]
+    assert main(argv) == 2
+    assert assignment.split("=")[0] in capsys.readouterr().err

@@ -11,7 +11,6 @@ from hrl_lab.market_env import (
     load_csv,
     moving_average,
     portfolio_value,
-    sector_value,
     synth_gbm,
     trend_state,
 )
@@ -126,17 +125,6 @@ def test_portfolio_value_oracles():
         Portfolio(-1.0)
     with pytest.raises(ValueError):
         Portfolio(1.0, {"AAA": -2})
-
-
-def test_sector_value_sums_only_its_own_symbols():
-    sector_of = {"AAA": "technology", "BBB": "energy"}
-    prices = {"AAA": 7.0, "BBB": 3.0}
-    p = Portfolio(50.0, {"AAA": 2, "BBB": 4})
-    assert sector_value(p, "technology", prices, sector_of) == 14.0
-    assert sector_value(p, "energy", prices, sector_of) == 12.0
-    assert sector_value(p, "finance", prices, sector_of) == 0.0
-    with pytest.raises(ValueError):
-        sector_value(p, "agriculture", prices, sector_of)
 
 
 def test_step_buy_and_coercions():

@@ -110,7 +110,6 @@ def test_level_cell_mapping():
     level = build_levels(open_4x4(), 2)[1]
     assert level.map_cell((0, 0)) == (0, 0)
     assert level.map_cell((3, 2)) == (1, 1)
-    assert level.parent_cells((1, 0)) == {(2, 0), (3, 0), (2, 1), (3, 1)}
 
 
 def test_build_levels_guards():

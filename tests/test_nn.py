@@ -5,16 +5,13 @@ from hrl_lab.nn import (
     AdamState,
     MlpParams,
     MlpSpec,
-    adam_step,
     adam_update,
     backward,
     flatten,
     forward,
     gradient_check,
     init_params,
-    load_checkpoint,
     mse,
-    save_checkpoint,
     trace,
 )
 
@@ -119,10 +116,11 @@ def test_adam_first_step_is_signed_lr():
     params = MlpParams([np.array([[1.0]])], [np.array([0.0])])
     state = AdamState(lr=1e-3)
     grads = ([np.array([[2.5]])], [np.array([-0.5])])
-    new = adam_step(state, params, grads)
+    flat, new = flatten(params)
+    adam_update(state, flat, MlpParams(*grads).flat())
     assert new.weights[0][0, 0] == pytest.approx(1.0 - 1e-3, abs=1e-10)
     assert new.biases[0][0] == pytest.approx(1e-3, abs=1e-10)
-    assert params.weights[0][0, 0] == 1.0  # input untouched
+    assert params.weights[0][0, 0] == 1.0  # flatten copied the input
     assert state.t == 1
 
 
@@ -182,27 +180,22 @@ def test_flat_adam_matches_per_array_adam_bitwise():
         grad_steps.append((dws, dbs))
     want, want_m, want_v = per_array_adam(params, grad_steps, lr=3e-3)
 
-    functional = AdamState(lr=3e-3)
-    stepped = params
     flat, in_place = flatten(params)
-    in_place_state = AdamState(lr=3e-3)
+    state = AdamState(lr=3e-3)
     for grads in grad_steps:
-        stepped = adam_step(functional, stepped, grads)
-        adam_update(in_place_state, flat, MlpParams(*grads).flat())
+        adam_update(state, flat, MlpParams(*grads).flat())
 
-    for state in (functional, in_place_state):
-        assert state.t == len(grad_steps)
-        assert same_bits(state.m, want_m)
-        assert same_bits(state.v, want_v)
-    for result in (stepped, in_place):
-        for got, ref in zip(result.weights + result.biases, want.weights + want.biases):
-            assert same_bits(got, ref)
+    assert state.t == len(grad_steps)
+    assert same_bits(state.m, want_m)
+    assert same_bits(state.v, want_v)
+    for got, ref in zip(in_place.weights + in_place.biases, want.weights + want.biases):
+        assert same_bits(got, ref)
     assert same_bits(flat, want.flat())
 
 
 def test_adam_drives_loss_down():
     spec = MlpSpec((3, 8, 1))
-    params = init_params(spec, seed=9)
+    flat, params = flatten(init_params(spec, seed=9))
     rng = np.random.default_rng(9)
     xs = rng.normal(size=(16, 3))
     ys = (xs.sum(axis=1, keepdims=True)) * 0.5
@@ -210,23 +203,6 @@ def test_adam_drives_loss_down():
     first = mse(forward(params, xs), ys)[0]
     for _ in range(200):
         _, grad = mse(forward(params, xs), ys)
-        params = adam_step(state, params, backward(params, xs, grad))
+        adam_update(state, flat, MlpParams(*backward(params, xs, grad)).flat())
     last = mse(forward(params, xs), ys)[0]
     assert last < 0.1 * first
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = init_params(MlpSpec((3, 4, 2)), seed=12)
-    params.biases[0][:] = [0.1, -2.5, 1e-17, 3.0]
-    path = tmp_path / "net.csv"
-    save_checkpoint(params, path)
-    back = load_checkpoint(path)
-    assert all(np.array_equal(a, b) for a, b in zip(params.weights, back.weights))
-    assert all(np.array_equal(a, b) for a, b in zip(params.biases, back.biases))
-
-
-def test_checkpoint_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.csv"
-    path.write_text("state_id,action_id,value\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)

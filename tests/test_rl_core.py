@@ -130,17 +130,6 @@ def test_update_touches_only_one_cell(q0, qnext, r, done, alpha, gamma):
     assert np.array_equal(table.row("s1"), qnext)
 
 
-def test_csv_round_trip(tmp_path):
-    table = QTable(2)
-    table.row("a")[:] = [0.125, -3.5]
-    table.row("b")[:] = [1e-17, 2.0]
-    path = tmp_path / "q.csv"
-    table.to_csv(path)
-    back = QTable.from_csv(path, n_actions=2)
-    assert np.array_equal(back.row("'a'"), table.row("a"))
-    assert np.array_equal(back.row("'b'"), table.row("b"))
-
-
 def test_replay_ring_evicts_oldest():
     buf = ReplayBuffer(3)
     ts = [Transition(i, 0, 0.0, i + 1) for i in range(5)]
