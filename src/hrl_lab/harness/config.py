@@ -1,8 +1,8 @@
 """Plain key/value experiment configs with CLI-style overrides.
 
 ``KEYS`` is the one table of what each kind accepts: per key a parser, a
-default (``REQUIRED`` when there is none) and, for counts, the lower bound
-that the library constructor fed by the key already enforces.
+default (``REQUIRED`` when there is none) and, where the key has a floor,
+the lowest value allowed.
 ``build_config`` rejects an unknown key, a bad value, a value below its
 bound and a missing required key with a ``ConfigError`` naming the key,
 and hands the drivers typed values.
@@ -69,16 +69,19 @@ def _bounds(raw: str) -> tuple[float, float]:
     return lo, hi
 
 
-_COMMON = {"seeds": Key(_list(int), (0,)), "out": Key(Path, Path("out"))}
+_COMMON = {"out": Key(Path, Path("out"))}
+_SEEDS = {"seeds": Key(_list(int), (0,))}  # only the kinds that run seeded work
 
 KEYS: dict[str, dict[str, Key]] = {
     "maze": {
+        **_SEEDS,
         "agents": _agents("flat", "feudal_quadrant", "feudal_direction"),
         "maze_file": Key(_file, REQUIRED),
         "episodes": Key(int, 500, low=1),
-        "step_cap": Key(int, 1000),
+        "step_cap": Key(int, 1000, low=1),
     },
     "market": {
+        **_SEEDS,
         "agents": _agents("random", "hardcoded", "tabular", "dqn", "feudal", "counts", "behaviors"),
         "prices_csv": Key(_file),
         "sectors_csv": Key(_file),
@@ -91,13 +94,14 @@ KEYS: dict[str, dict[str, Key]] = {
         "episodes": Key(int, 0, low=0),  # 0 means each agent's own default
     },
     "embed": {
+        **_SEEDS,
         "telemetry_csv": Key(_file, REQUIRED),
         "window": Key(int, 10, low=1),
         "perplexity": Key(float, 30.0),
         "iterations": Key(int, 1000, low=1),
         "k": Key(int, 3, low=1),
         "n_examples": Key(int, 5, low=1),
-        "eps": Key(float, 0.05),
+        "eps": Key(float, 0.05, low=0),
     },
     "report": {
         "logs": Key(_list(_file), REQUIRED),
@@ -171,7 +175,7 @@ def build_config(kind: str, raw: dict[str, str]) -> ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    agents, seeds, out_dir = params.pop("agents", ()), params.pop("seeds"), params.pop("out")
+    agents, seeds, out_dir = params.pop("agents", ()), params.pop("seeds", ()), params.pop("out")
     return ExperimentConfig(kind, agents, seeds, out_dir, params)
 
 

@@ -94,7 +94,10 @@ def _market_data(cfg: ExperimentConfig, seed: int):
 def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
     # Zero means "each runner's own default episode budget".
     kwargs = {"episodes": cfg.params["episodes"]} if cfg.params["episodes"] > 0 else {}
-    env_cfg = EnvConfig(cfg.params["initial_cash"], cfg.params["target_multiplier"])
+    try:
+        env_cfg = EnvConfig(cfg.params["initial_cash"], cfg.params["target_multiplier"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     logs = {agent: RunLog(agent=agent) for agent in cfg.agents}
     for seed in cfg.seeds:
@@ -110,12 +113,21 @@ def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
 
 def _embed_experiment(cfg: ExperimentConfig) -> list[Path]:
     p = cfg.params
+    try:
+        tsne_cfg = TsneConfig(perplexity=p["perplexity"], iterations=p["iterations"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     series = load_telemetry(p["telemetry_csv"])
     windows = window_telemetry(series, m=p["window"])
     if not windows:
         raise ConfigError("telemetry too short for the configured window length")
+    needed = int(2 * tsne_cfg.perplexity + 1)  # tsne_fit's own floor
+    if len(windows) < needed:
+        raise ConfigError(
+            f"perplexity {tsne_cfg.perplexity} needs at least {needed} windows,"
+            f" the telemetry gives {len(windows)}"
+        )
     vectors = np.stack([w.vector for w in windows])
-    tsne_cfg = TsneConfig(perplexity=p["perplexity"], iterations=p["iterations"])
 
     paths = []
     for seed in cfg.seeds:

@@ -6,16 +6,20 @@ managers gate per-symbol workers, and two multi-worker variants where a
 manager chooses which worker acts. A uniform-random agent serves as the
 comparison baseline.
 
-All runners share the episode bookkeeping: an episode ends when the
-portfolio doubles or the data runs out, and each one logs how many ticks it
-took, the final value, and the cumulative reward. Tables and network
-weights persist across episodes; only the portfolio and the data cursor
-reset.
+Every runner hands the one episode loop, ``_episodes``, a ``play`` closure
+that makes one decision: a tick for the random, hard-coded, deep-Q and
+behavior agents, a span of ticks for the tabular, feudal and count agents,
+whose per-symbol tables all act and learn in one span body, ``_run_span``.
+An episode ends when the portfolio doubles or the data runs out, and each
+one logs how many ticks it took, the final value, and the cumulative
+reward. Tables and network weights persist across episodes; only the
+portfolio and the data cursor reset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -80,15 +84,12 @@ def tabular_state(trend: str, has_shares: bool) -> int:
     return (0 if trend == "up" else 2) + (0 if has_shares else 1)
 
 
-def majority_trend(data: MarketData, t: int) -> str:
-    ups = sum(trend_state(data, sym, t) == "up" for sym in data.symbols)
-    return "up" if ups > len(data.symbols) - ups else "down"
-
-
-def sector_trend(data: MarketData, sector: str, t: int) -> str:
-    syms = [s for s in data.symbols if data.sector_of[s] == sector]
-    ups = sum(trend_state(data, s, t) == "up" for s in syms)
-    return "up" if ups > len(syms) - ups else "down"
+def majority_trend(data: MarketData, t: int, symbols: tuple[str, ...] | None = None) -> str:
+    """"up" iff more of ``symbols`` (default: the whole universe) rose into
+    tick t than did not."""
+    symbols = data.symbols if symbols is None else symbols
+    ups = sum(trend_state(data, sym, t) == "up" for sym in symbols)
+    return "up" if ups > len(symbols) - ups else "down"
 
 
 @dataclass(frozen=True)
@@ -125,9 +126,30 @@ def market_schedule() -> ExplorationSchedule:
 DEFAULT_EPISODES = 3
 
 
-def _record(episode: int, env: MarketEnv, result: StepResult, cum: float) -> RunRecord:
-    doubled = result.total_value >= env.target
-    return RunRecord(episode, env.ticks if doubled else -1, result.total_value, cum)
+def _episodes(
+    env: MarketEnv,
+    agent: str,
+    seed: int,
+    episodes: int,
+    play: Callable[[int], tuple[float, StepResult]],
+    start_t: int = 1,
+) -> AgentRun:
+    """The episode loop of every runner: reset to start_t, then call
+    ``play(ep)`` until the step it returns is done, summing its rewards."""
+    records = []
+    for ep in range(episodes):
+        env.reset(start_t)
+        cum = 0.0
+        while True:
+            reward, res = play(ep)
+            cum += reward
+            if res.done:
+                doubled = res.total_value >= env.target
+                records.append(
+                    RunRecord(ep, env.ticks if doubled else -1, res.total_value, cum)
+                )
+                break
+    return AgentRun(agent, seed, records)
 
 
 def _per_symbol_gain(env: MarketEnv, t: int, sym: str) -> float:
@@ -160,24 +182,18 @@ def run_hardcoded(
 ) -> AgentRun:
     thresholds = thresholds or ThresholdConfig()
     data = env.data
-    records = []
-    for ep in range(episodes):
-        env.reset(1)
-        cum = 0.0
-        while True:
-            t = env.t
-            actions = {
-                sym: hardcoded_policy(
-                    thresholds, data.price(sym, t) - data.price(sym, t - 1)
-                )
+
+    def play(ep: int) -> tuple[float, StepResult]:
+        t = env.t
+        res = env.step(
+            {
+                sym: hardcoded_policy(thresholds, data.price(sym, t) - data.price(sym, t - 1))
                 for sym in data.symbols
             }
-            res = env.step(actions)
-            cum += res.reward
-            if res.done:
-                records.append(_record(ep, env, res, cum))
-                break
-    return AgentRun("hardcoded", seed, records)
+        )
+        return res.reward, res
+
+    return _episodes(env, "hardcoded", seed, episodes, play)
 
 
 def run_random(
@@ -185,22 +201,59 @@ def run_random(
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
 ) -> AgentRun:
-    data = env.data
+    symbols = env.data.symbols
     rng = np.random.default_rng(seed)
-    records = []
-    for ep in range(episodes):
-        env.reset(1)
-        cum = 0.0
-        while True:
-            actions = {
-                sym: ACTIONS[int(rng.integers(N_ACTIONS))] for sym in data.symbols
-            }
-            res = env.step(actions)
-            cum += res.reward
-            if res.done:
-                records.append(_record(ep, env, res, cum))
-                break
-    return AgentRun("random", seed, records)
+
+    def play(ep: int) -> tuple[float, StepResult]:
+        res = env.step({sym: ACTIONS[int(rng.integers(N_ACTIONS))] for sym in symbols})
+        return res.reward, res
+
+    return _episodes(env, "random", seed, episodes, play)
+
+
+def _run_span(
+    env: MarketEnv,
+    tables: dict[str, QTable],
+    group_of: dict[str, str],
+    max_ticks: int,
+    epsilon: float,
+    rng: np.random.Generator | None,
+    params: LearningParams,
+) -> tuple[float, StepResult]:
+    """Let the tabular traders of the symbols in ``group_of`` act for up to
+    max_ticks ticks; every other symbol holds and its table is untouched.
+
+    ``group_of`` maps each acting symbol, in universe order, to its reward
+    group: a trader's reward for a tick is the summed mark-to-market gain of
+    its group's symbols. Returns the accumulated portfolio reward and the
+    last step result.
+    """
+    data = env.data
+    active = tuple(group_of)
+    no_gain = dict.fromkeys(group_of.values(), 0.0)
+    span_reward = 0.0
+    res = None
+    for _ in range(max_ticks):
+        t = env.t
+        shares = env.portfolio.shares
+        rows = [
+            tables[sym].row(tabular_state(trend_state(data, sym, t), shares[sym] > 0))
+            for sym in active
+        ]
+        chosen = [epsilon_greedy(row, epsilon, rng) for row in rows]
+        res = env.step({sym: ACTIONS[a] for sym, a in zip(active, chosen)})
+        span_reward += res.reward
+        gain = no_gain.copy()
+        for sym in active:
+            gain[group_of[sym]] += _per_symbol_gain(env, t, sym)
+        for sym, row, a in zip(active, rows, chosen):
+            update_row(
+                row, a, gain[group_of[sym]],
+                _next_row(tables[sym], data, sym, t + 1, shares, res.done), params,
+            )
+        if res.done:
+            break
+    return span_reward, res
 
 
 def run_worker_span(
@@ -215,30 +268,9 @@ def run_worker_span(
 
     Each symbol's table sees its own mark-to-market gain as the reward, so
     the per-symbol rewards sum exactly to the portfolio's value change.
-    Returns the accumulated reward and the last step result.
     """
-    data = env.data
-    symbols = data.symbols
-    span_reward = 0.0
-    res = None
-    for _ in range(max_ticks):
-        t = env.t
-        shares = env.portfolio.shares
-        rows = [
-            tables[sym].row(tabular_state(trend_state(data, sym, t), shares[sym] > 0))
-            for sym in symbols
-        ]
-        chosen = [epsilon_greedy(row, epsilon, rng) for row in rows]
-        res = env.step({sym: ACTIONS[a] for sym, a in zip(symbols, chosen)})
-        span_reward += res.reward
-        for sym, row, a in zip(symbols, rows, chosen):
-            update_row(
-                row, a, _per_symbol_gain(env, t, sym),
-                _next_row(tables[sym], data, sym, t + 1, shares, res.done), params,
-            )
-        if res.done:
-            break
-    return span_reward, res
+    group_of = {sym: sym for sym in env.data.symbols}
+    return _run_span(env, tables, group_of, max_ticks, epsilon, rng, params)
 
 
 def run_tabular_q(
@@ -255,14 +287,12 @@ def run_tabular_q(
     rng = np.random.default_rng(seed)
     if tables is None:
         tables = fresh_tables(env.data)
-    records = []
-    for ep in range(episodes):
-        env.reset(1)
-        cum, res = run_worker_span(
-            env, tables, len(env.data), schedule.epsilon(ep), rng, params
-        )
-        records.append(_record(ep, env, res, cum))
-    return AgentRun("tabular-q", seed, records)
+
+    def play(ep: int) -> tuple[float, StepResult]:
+        # one span as long as the data: it always ends the episode
+        return run_worker_span(env, tables, len(env.data), schedule.epsilon(ep), rng, params)
+
+    return _episodes(env, "tabular-q", seed, episodes, play)
 
 
 @dataclass
@@ -320,8 +350,27 @@ def run_dqn(
     window plus the acting symbol's one-hot, output is Q over the three
     actions. Each tick pushes one transition per symbol and trains on
     train_steps uniformly sampled replay transitions."""
-    cfg = cfg or DqnConfig()
-    schedule = schedule or market_schedule()
+    # The input array (4.4 MiB at 6 symbols x 4000 ticks) is owned by this
+    # frame, so it is freed last: the player's network, Adam moments and
+    # replay buffer die when _episodes returns. Freed before them, its heap
+    # block was often not reused by the next run's array, and the
+    # benchmark's market peak RSS read 51.5 MB instead of 47.2.
+    inputs = dqn_inputs(env.data)
+    return _episodes(
+        env, "dqn", seed, episodes,
+        _dqn_player(env, cfg or DqnConfig(), schedule or market_schedule(), seed, inputs),
+        start_t=3,
+    )
+
+
+def _dqn_player(
+    env: MarketEnv,
+    cfg: DqnConfig,
+    schedule: ExplorationSchedule,
+    seed: int,
+    inputs: np.ndarray,
+) -> Callable[[int], tuple[float, StepResult]]:
+    """A fresh network and replay buffer, and the tick that acts and trains."""
     data = env.data
     rng = np.random.default_rng(seed)
     n = len(data.symbols)
@@ -330,54 +379,45 @@ def run_dqn(
     grad_flat, grads = flatten(params)  # same layout; backward overwrites it
     adam = AdamState(lr=cfg.lr)
     buffer = ReplayBuffer(cfg.buffer_capacity)
-    inputs = dqn_inputs(data)
-    records = []
-    for ep in range(episodes):
+
+    def play(ep: int) -> tuple[float, StepResult]:
         eps = schedule.epsilon(ep)
-        env.reset(3)
-        cum = 0.0
-        xs = inputs[env.t]
-        while True:
-            t = env.t
-            greedy = forward(params, xs).argmax(axis=1).tolist()
-            chosen = {}
-            for i, sym in enumerate(data.symbols):
-                if eps > 0.0 and rng.random() < eps:
-                    chosen[sym] = int(rng.integers(N_ACTIONS))
-                else:
-                    chosen[sym] = greedy[i]
-            res = env.step({s: ACTIONS[a] for s, a in chosen.items()})
-            cum += res.reward
-            nxt = inputs[t + 1]
-            for i, sym in enumerate(data.symbols):
-                buffer.push(
-                    Transition(
-                        xs[i], chosen[sym], _per_symbol_gain(env, t, sym),
-                        nxt[i], res.done,
-                    )
+        t = env.t
+        greedy = forward(params, inputs[t]).argmax(axis=1).tolist()
+        chosen = {}
+        for i, sym in enumerate(data.symbols):
+            if eps > 0.0 and rng.random() < eps:
+                chosen[sym] = int(rng.integers(N_ACTIONS))
+            else:
+                chosen[sym] = greedy[i]
+        res = env.step({s: ACTIONS[a] for s, a in chosen.items()})
+        for i, sym in enumerate(data.symbols):
+            buffer.push(
+                Transition(
+                    inputs[t, i], chosen[sym], _per_symbol_gain(env, t, sym), inputs[t + 1, i],
+                    res.done,
                 )
-            for _ in range(cfg.train_steps):
-                if not len(buffer):
-                    break
-                tr = buffer.sample(rng)
-                acts = trace(params, tr.s0)
-                # gamma == 0 zeroes the bootstrap term, so its forward pass is skipped
-                if tr.done or cfg.gamma == 0.0:
-                    target = tr.r
-                else:
-                    target = tr.r + cfg.gamma * float(np.max(forward(params, tr.s)))
-                # The loss is the MSE between the predicted Q row and that row
-                # with the taken action's entry set to the target, so its
-                # gradient is zero except at the taken action.
-                grad = np.zeros(N_ACTIONS)
-                grad[tr.a] = 2.0 * (acts[-1][0, tr.a] - target) / N_ACTIONS
-                backward(params, tr.s0, grad, acts, out=grads)
-                adam_update(adam, flat, grad_flat)
-            xs = nxt
-            if res.done:
-                records.append(_record(ep, env, res, cum))
+            )
+        for _ in range(cfg.train_steps):
+            if not len(buffer):
                 break
-    return AgentRun("dqn", seed, records)
+            tr = buffer.sample(rng)
+            acts = trace(params, tr.s0)
+            # gamma == 0 zeroes the bootstrap term, so its forward pass is skipped
+            if tr.done or cfg.gamma == 0.0:
+                target = tr.r
+            else:
+                target = tr.r + cfg.gamma * float(np.max(forward(params, tr.s)))
+            # The loss is the MSE between the predicted Q row and that row
+            # with the taken action's entry set to the target, so its
+            # gradient is zero except at the taken action.
+            grad = np.zeros(N_ACTIONS)
+            grad[tr.a] = 2.0 * (acts[-1][0, tr.a] - target) / N_ACTIONS
+            backward(params, tr.s0, grad, acts, out=grads)
+            adam_update(adam, flat, grad_flat)
+        return res.reward, res
+
+    return play
 
 
 @dataclass
@@ -408,39 +448,9 @@ def run_masked_span(
     updated. A masked worker's reward is its whole sector's mark-to-market
     gain for the tick.
     """
-    data = env.data
-    active = [sym for sym in data.symbols if mask[data.sector_of[sym]]]
-    members = {
-        sector: [sym for sym in data.symbols if data.sector_of[sym] == sector]
-        for sector, on in mask.items()
-        if on
-    }
-    span_reward = 0.0
-    res = None
-    for _ in range(max_ticks):
-        t = env.t
-        shares = env.portfolio.shares
-        rows = [
-            workers[sym].row(tabular_state(trend_state(data, sym, t), shares[sym] > 0))
-            for sym in active
-        ]
-        chosen = [epsilon_greedy(row, epsilon, rng) for row in rows]
-        actions = dict.fromkeys(data.symbols, TradeAction.HOLD)
-        actions.update((sym, ACTIONS[a]) for sym, a in zip(active, chosen))
-        res = env.step(actions)
-        span_reward += res.reward
-        sector_gain = {
-            sector: sum(_per_symbol_gain(env, t, sym) for sym in syms)
-            for sector, syms in members.items()
-        }
-        for sym, row, a in zip(active, rows, chosen):
-            update_row(
-                row, a, sector_gain[data.sector_of[sym]],
-                _next_row(workers[sym], data, sym, t + 1, shares, res.done), params,
-            )
-        if res.done:
-            break
-    return span_reward, res
+    sector_of = env.data.sector_of
+    group_of = {sym: sector_of[sym] for sym in env.data.symbols if mask[sector_of[sym]]}
+    return _run_span(env, workers, group_of, max_ticks, epsilon, rng, params)
 
 
 def run_feudal(
@@ -458,40 +468,35 @@ def run_feudal(
     schedule = schedule or market_schedule()
     data = env.data
     rng = np.random.default_rng(seed)
-    sectors = tuple(s for s in SECTORS if any(data.sector_of[y] == s for y in data.symbols))
-    managers = {s: QTable(2, states=("up", "down")) for s in sectors}
+    members = {
+        s: syms
+        for s in SECTORS
+        if (syms := tuple(y for y in data.symbols if data.sector_of[y] == s))
+    }
+    managers = {s: QTable(2, states=("up", "down")) for s in members}
     workers = fresh_tables(data)
     TRADE = 0
-    records = []
-    for ep in range(episodes):
+
+    def play(ep: int) -> tuple[float, StepResult]:
         eps = schedule.epsilon(ep)
-        env.reset(1)
-        cum = 0.0
-        done = False
-        while not done:
-            span_states = {s: sector_trend(data, s, env.t) for s in sectors}
-            span_actions = {
-                s: select_action(managers[s], span_states[s], eps, rng) for s in sectors
-            }
-            mask = {s: span_actions[s] == TRADE for s in sectors}
-            span_reward, res = run_masked_span(
-                env, workers, mask, cfg.worker_steps_per_goal, eps, rng,
-                cfg.worker_params,
+        states = {s: majority_trend(data, env.t, syms) for s, syms in members.items()}
+        actions = {s: select_action(managers[s], states[s], eps, rng) for s in members}
+        mask = {s: actions[s] == TRADE for s in members}
+        span_reward, res = run_masked_span(
+            env, workers, mask, cfg.worker_steps_per_goal, eps, rng, cfg.worker_params
+        )
+        for s, syms in members.items():
+            q_update(
+                managers[s],
+                cfg.manager_params,
+                Transition(
+                    states[s], actions[s], span_reward,
+                    majority_trend(data, env.t, syms), res.done,
+                ),
             )
-            cum += span_reward
-            done = res.done
-            for s in sectors:
-                q_update(
-                    managers[s],
-                    cfg.manager_params,
-                    Transition(
-                        span_states[s], span_actions[s], span_reward,
-                        sector_trend(data, s, env.t), done,
-                    ),
-                )
-            if done:
-                records.append(_record(ep, env, res, cum))
-    return AgentRun("feudal", seed, records)
+        return span_reward, res
+
+    return _episodes(env, "feudal", seed, episodes, play)
 
 
 def run_multiworker_counts(
@@ -513,28 +518,18 @@ def run_multiworker_counts(
     rng = np.random.default_rng(seed)
     manager = QTable(len(counts), states=("up", "down"))
     crews = [fresh_tables(data) for _ in counts]
-    records = []
-    for ep in range(episodes):
+
+    def play(ep: int) -> tuple[float, StepResult]:
         eps = schedule.epsilon(ep)
-        env.reset(1)
-        cum = 0.0
-        done = False
-        while not done:
-            s0 = majority_trend(data, env.t)
-            wi = select_action(manager, s0, eps, rng)
-            span_reward, res = run_worker_span(
-                env, crews[wi], counts[wi], eps, rng, params
-            )
-            cum += span_reward
-            done = res.done
-            q_update(
-                manager,
-                params,
-                Transition(s0, wi, span_reward, majority_trend(data, env.t), done),
-            )
-            if done:
-                records.append(_record(ep, env, res, cum))
-    return AgentRun("multiworker-counts", seed, records)
+        s0 = majority_trend(data, env.t)
+        wi = select_action(manager, s0, eps, rng)
+        span_reward, res = run_worker_span(env, crews[wi], counts[wi], eps, rng, params)
+        q_update(
+            manager, params, Transition(s0, wi, span_reward, majority_trend(data, env.t), res.done)
+        )
+        return span_reward, res
+
+    return _episodes(env, "multiworker-counts", seed, episodes, play)
 
 
 def fixed_worker_actions(
@@ -590,20 +585,12 @@ def run_multiworker_behaviors(
     data = env.data
     rng = np.random.default_rng(seed)
     manager = QTable(3)
-    records = []
-    for ep in range(episodes):
-        eps = schedule.epsilon(ep)
-        env.reset(1)
-        cum = 0.0
-        while True:
-            t = env.t
-            wi = select_action(manager, t, eps, rng)
-            res = env.step(fixed_worker_actions(data, wi, t, rng))
-            cum += res.reward
-            q_update(
-                manager, params, Transition(t, wi, res.reward, t + 1, res.done)
-            )
-            if res.done:
-                records.append(_record(ep, env, res, cum))
-                break
-    return AgentRun("multiworker-behaviors", seed, records)
+
+    def play(ep: int) -> tuple[float, StepResult]:
+        t = env.t
+        wi = select_action(manager, t, schedule.epsilon(ep), rng)
+        res = env.step(fixed_worker_actions(data, wi, t, rng))
+        q_update(manager, params, Transition(t, wi, res.reward, t + 1, res.done))
+        return res.reward, res
+
+    return _episodes(env, "multiworker-behaviors", seed, episodes, play)

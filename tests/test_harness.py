@@ -313,9 +313,13 @@ def test_cli_embed_smoke_and_determinism(tmp_path):
 
 
 def test_cli_embed_runtime_failure_is_exit_1(tmp_path):
+    # the config is sound; the telemetry it names goes back in time
+    rows = TELEMETRY_FIXTURE.read_text().splitlines()
+    telemetry = tmp_path / "t.csv"
+    telemetry.write_text("\n".join([*rows, rows[1]]) + "\n")
     cfg = write_config(
         tmp_path,
-        f"telemetry_csv = {TELEMETRY_FIXTURE}\nwindow = 10\nperplexity = 30\n"
+        f"telemetry_csv = {telemetry}\nwindow = 10\nperplexity = 2\n"
         f"iterations = 10\nseeds = 0\nout = {tmp_path / 'e'}\n",
     )
     assert main(["embed", "--config", str(cfg)]) == 1
@@ -368,7 +372,13 @@ def test_cli_bad_usage_is_exit_2():
         ("report", "seeds=x"),
         ("embed", "agents=flat"),
         ("maze", "episodes=0"),
+        ("maze", "step_cap=0"),
         ("embed", "k=0"),
+        ("embed", "perplexity=0"),
+        ("embed", "perplexity=30"),  # the fixture gives 30 windows, this needs 61
+        ("embed", "eps=-1"),
+        ("market", "initial_cash=0"),
+        ("market", "target_multiplier=1"),
     ],
 )
 def test_cli_rejects_bad_keys_and_values(kind, assignment, tmp_path, monkeypatch, capsys):
@@ -380,3 +390,10 @@ def test_cli_rejects_bad_keys_and_values(kind, assignment, tmp_path, monkeypatch
         argv += ["--set", "logs=out/maze/maze_flat.csv"]
     assert main(argv) == 2
     assert assignment.split("=")[0] in capsys.readouterr().err
+
+
+def test_cli_report_takes_no_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = ["report", "--config", "configs/report.conf", "--out", str(tmp_path), "--seed", "7"]
+    assert main(argv) == 2
+    assert "seeds" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from hrl_lab.market_agents import (
     run_random,
     run_tabular_q,
     run_worker_span,
-    sector_trend,
     tabular_state,
 )
 from hrl_lab.market_env import (
@@ -95,8 +94,8 @@ def test_trend_aggregates():
     )
     assert majority_trend(data, 2) == "up"  # both rose
     assert majority_trend(data, 1) == "down"  # 1-1 tie counts as down
-    assert sector_trend(data, "technology", 2) == "up"
-    assert sector_trend(data, "technology", 1) == "down"
+    assert majority_trend(data, 1, ("A",)) == "up"  # a subset: only A's rise counts
+    assert majority_trend(data, 1, ("B",)) == "down"
 
 
 def test_constant_prices_leave_tables_at_zero():
