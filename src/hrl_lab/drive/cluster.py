@@ -24,12 +24,16 @@ class CentroidSet:
     inertia_trace: list[float]
 
 
-def kmeans_fit(points: np.ndarray, k: int, max_iters: int = 100, seed: int = 0) -> CentroidSet:
+MAX_LLOYD_ITERS = 100
+
+
+def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> CentroidSet:
     """Lloyd's algorithm with k-means++ seeding.
 
-    Runs until the assignment stops changing or max_iters passes. A cluster
-    that empties out is re-seeded to the point currently farthest from its
-    own centroid. Distance ties assign to the lowest centroid index.
+    Runs until the assignment stops changing or MAX_LLOYD_ITERS updates
+    pass. A cluster that empties out is re-seeded to the point currently
+    farthest from its own centroid. Distance ties assign to the lowest
+    centroid index.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -46,7 +50,7 @@ def kmeans_fit(points: np.ndarray, k: int, max_iters: int = 100, seed: int = 0) 
     centroids = _plus_plus_seed(points, k, rng)
     assignment = _assign(points, centroids)
     trace = [_inertia(points, centroids, assignment)]
-    for _ in range(max_iters):
+    for _ in range(MAX_LLOYD_ITERS):
         for c in range(k):
             members = points[assignment == c]
             if len(members) == 0:

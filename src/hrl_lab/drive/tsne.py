@@ -13,29 +13,25 @@ import numpy as np
 P_FLOOR = 1e-12
 CALIBRATION_TOL = 1e-5
 CALIBRATION_MAX_ITERS = 50
+# The optimiser schedule of van der Maaten & Hinton (2008): step size,
+# momentum 0.5 then 0.8 from update 250 on, and P times 4 for the first
+# 100 updates. The embedding is always 2-D, as the CSV writers expect.
+LEARNING_RATE = 200.0
+MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH = 0.5, 0.8, 250
+EXAGGERATION, EXAGGERATION_ITERS = 4.0, 100
+OUT_DIM = 2
 
 
 @dataclass(frozen=True)
 class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
-    learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    exaggeration: float = 4.0
-    exaggeration_iters: int = 100
-    out_dim: int = 2
 
     def __post_init__(self) -> None:
         if self.perplexity <= 0:
             raise ValueError(f"perplexity must be positive, got {self.perplexity}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.out_dim < 1:
-            raise ValueError(f"out_dim must be >= 1, got {self.out_dim}")
 
 
 @dataclass
@@ -146,7 +142,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> TsneEmbedding:
     """Embed the rows of x with exact gradient descent on KL(P || Q).
 
-    Early exaggeration multiplies P for the first exaggeration_iters
+    Early exaggeration multiplies P for the first EXAGGERATION_ITERS
     updates; the KL trace is always scored against the true P, so trace[0]
     (the random init) and trace[-1] (the final layout) are comparable.
     """
@@ -165,7 +161,7 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
 
     p = joint_probabilities(x, config.perplexity)
     rng = np.random.default_rng(seed)
-    y = 1e-4 * rng.standard_normal((n, config.out_dim))
+    y = 1e-4 * rng.standard_normal((n, OUT_DIM))
     velocity = np.zeros_like(y)
     # Per-coordinate step-size gains, as in the reference implementation
     # the lr=200 convention comes from; without them that rate diverges.
@@ -174,15 +170,13 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
     q, num = _low_dim_affinities(y)
     kl_trace = [kl_divergence(p, q)]
     for it in range(config.iterations):
-        p_eff = p * config.exaggeration if it < config.exaggeration_iters else p
+        p_eff = p * EXAGGERATION if it < EXAGGERATION_ITERS else p
         grad = _kl_gradient(p_eff, q, num, y)
-        momentum = (
-            config.momentum_early if it < config.momentum_switch else config.momentum_late
-        )
+        momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
         same_dir = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_dir, gains * 0.8, gains + 0.2)
         np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - config.learning_rate * (gains * grad)
+        velocity = momentum * velocity - LEARNING_RATE * (gains * grad)
         y = y + velocity
         y = y - y.mean(axis=0)
         q, num = _low_dim_affinities(y)

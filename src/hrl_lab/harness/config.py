@@ -2,7 +2,7 @@
 
 ``KEYS`` is the one table of what each kind accepts: per key a parser, a
 default (``REQUIRED`` when there is none) and, where the key has a floor,
-the lowest value allowed.
+the lowest value allowed. Float keys take finite numbers only.
 ``build_config`` rejects an unknown key, a bad value, a value below its
 bound and a missing required key with a ``ConfigError`` naming the key,
 and hands the drivers typed values.
@@ -10,6 +10,7 @@ and hands the drivers typed values.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,13 @@ class Key:
     parse: Callable[[str], Any]
     default: Any = None
     low: int | None = None
+
+
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be a finite number")
+    return value
 
 
 def _file(raw: str) -> str:
@@ -65,7 +73,7 @@ def _agents(*names: str) -> Key:
 
 
 def _bounds(raw: str) -> tuple[float, float]:
-    lo, hi = (float(tok) for tok in raw.split(","))
+    lo, hi = (_float(tok) for tok in raw.split(","))
     return lo, hi
 
 
@@ -87,26 +95,26 @@ KEYS: dict[str, dict[str, Key]] = {
         "sectors_csv": Key(_file),
         "n_symbols": Key(int, 6, low=1),
         "length": Key(int, 4000, low=2),
-        "drift": Key(float, 0.0005),
-        "volatility": Key(float, 0.01),
-        "initial_cash": Key(float, 1000.0),
-        "target_multiplier": Key(float, 2.0),
+        "drift": Key(_float, 0.0005),
+        "volatility": Key(_float, 0.01),
+        "initial_cash": Key(_float, 1000.0),
+        "target_multiplier": Key(_float, 2.0),
         "episodes": Key(int, 0, low=0),  # 0 means each agent's own default
     },
     "embed": {
         **_SEEDS,
         "telemetry_csv": Key(_file, REQUIRED),
         "window": Key(int, 10, low=1),
-        "perplexity": Key(float, 30.0),
+        "perplexity": Key(_float, 30.0),
         "iterations": Key(int, 1000, low=1),
         "k": Key(int, 3, low=1),
         "n_examples": Key(int, 5, low=1),
-        "eps": Key(float, 0.05, low=0),
+        "eps": Key(_float, 0.05, low=0),
     },
     "report": {
         "logs": Key(_list(_file), REQUIRED),
         "metric": Key(_one_of("steps", "reward"), "steps"),
-        "bin_width": Key(float),
+        "bin_width": Key(_float),
         "bin_count": Key(int, low=1),
         "bounds": Key(_bounds),
         "shared_bounds": Key(lambda raw: _one_of("true", "false")(raw.lower()) == "true", True),

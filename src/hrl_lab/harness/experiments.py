@@ -98,10 +98,18 @@ def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
         env_cfg = EnvConfig(cfg.params["initial_cash"], cfg.params["target_multiplier"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # Episodes start at tick 1 (dqn: 3) and need one tick to step into. Every
+    # seed's data has one length, so the first seed is checked before any run.
+    needed = 5 if "dqn" in cfg.agents else 3
 
     logs = {agent: RunLog(agent=agent) for agent in cfg.agents}
     for seed in cfg.seeds:
         data = _market_data(cfg, seed)
+        if len(data) < needed:
+            key = "length" if cfg.params["prices_csv"] is None else "prices_csv"
+            raise ConfigError(
+                f"{key} gives {len(data)} ticks; {', '.join(cfg.agents)} need at least {needed}"
+            )
         for agent in cfg.agents:
             env = MarketEnv(data, env_cfg)
             run = MARKET_AGENTS[agent](env, seed=seed, **kwargs)
@@ -127,6 +135,8 @@ def _embed_experiment(cfg: ExperimentConfig) -> list[Path]:
             f"perplexity {tsne_cfg.perplexity} needs at least {needed} windows,"
             f" the telemetry gives {len(windows)}"
         )
+    if p["k"] > len(windows):
+        raise ConfigError(f"k = {p['k']} exceeds the {len(windows)} telemetry windows")
     vectors = np.stack([w.vector for w in windows])
 
     paths = []

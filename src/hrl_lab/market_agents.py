@@ -18,7 +18,7 @@ portfolio and the data cursor reset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,24 +55,17 @@ from hrl_lab.rl_core import (
 
 N_ACTIONS = len(TradeAction)
 ACTIONS = tuple(TradeAction)  # ACTIONS[i] is TradeAction(i) without the enum call
+# The hard-coded trader buys when a symbol's open changed by more than
+# BUY_THRESHOLD since the previous tick, and sells below SELL_THRESHOLD.
+BUY_THRESHOLD, SELL_THRESHOLD = 0.05, -0.05
+# A feudal sector manager's decision holds for this many ticks.
+WORKER_STEPS_PER_GOAL = 5
 
 
-@dataclass
-class ThresholdConfig:
-    buy_threshold: float = 0.05
-    sell_threshold: float = -0.05
-
-    def __post_init__(self) -> None:
-        if not self.sell_threshold < 0 < self.buy_threshold:
-            raise ValueError(
-                f"need sell < 0 < buy, got ({self.sell_threshold}, {self.buy_threshold})"
-            )
-
-
-def hardcoded_policy(cfg: ThresholdConfig, delta: float) -> TradeAction:
-    if delta > cfg.buy_threshold:
+def hardcoded_policy(delta: float) -> TradeAction:
+    if delta > BUY_THRESHOLD:
         return TradeAction.BUY
-    if delta < cfg.sell_threshold:
+    if delta < SELL_THRESHOLD:
         return TradeAction.SELL
     return TradeAction.HOLD
 
@@ -176,18 +169,16 @@ def fresh_tables(data: MarketData) -> dict[str, QTable]:
 
 def run_hardcoded(
     env: MarketEnv,
-    thresholds: ThresholdConfig | None = None,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
 ) -> AgentRun:
-    thresholds = thresholds or ThresholdConfig()
     data = env.data
 
     def play(ep: int) -> tuple[float, StepResult]:
         t = env.t
         res = env.step(
             {
-                sym: hardcoded_policy(thresholds, data.price(sym, t) - data.price(sym, t - 1))
+                sym: hardcoded_policy(data.price(sym, t) - data.price(sym, t - 1))
                 for sym in data.symbols
             }
         )
@@ -420,19 +411,6 @@ def _dqn_player(
     return play
 
 
-@dataclass
-class FeudalStockConfig:
-    worker_steps_per_goal: int = 5
-    manager_params: LearningParams = field(default_factory=market_params)
-    worker_params: LearningParams = field(default_factory=market_params)
-
-    def __post_init__(self) -> None:
-        if self.worker_steps_per_goal < 1:
-            raise ValueError(
-                f"worker_steps_per_goal must be >= 1, got {self.worker_steps_per_goal}"
-            )
-
-
 def run_masked_span(
     env: MarketEnv,
     workers: dict[str, QTable],
@@ -455,16 +433,16 @@ def run_masked_span(
 
 def run_feudal(
     env: MarketEnv,
-    cfg: FeudalStockConfig | None = None,
     schedule: ExplorationSchedule | None = None,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
 ) -> AgentRun:
-    """Six sector managers each decide trade-or-skip for k ticks; per-symbol
-    workers act inside traded sectors and idle elsewhere. Managers learn from
-    the whole portfolio's change over their span, workers from their own
-    sector's change each tick."""
-    cfg = cfg or FeudalStockConfig()
+    """Six sector managers each decide trade-or-skip for
+    WORKER_STEPS_PER_GOAL ticks; per-symbol workers act inside traded
+    sectors and idle elsewhere. Managers learn from the whole portfolio's
+    change over their span, workers from their own sector's change each
+    tick. Both levels learn with ``market_params()``."""
+    params = market_params()
     schedule = schedule or market_schedule()
     data = env.data
     rng = np.random.default_rng(seed)
@@ -483,12 +461,12 @@ def run_feudal(
         actions = {s: select_action(managers[s], states[s], eps, rng) for s in members}
         mask = {s: actions[s] == TRADE for s in members}
         span_reward, res = run_masked_span(
-            env, workers, mask, cfg.worker_steps_per_goal, eps, rng, cfg.worker_params
+            env, workers, mask, WORKER_STEPS_PER_GOAL, eps, rng, params
         )
         for s, syms in members.items():
             q_update(
                 managers[s],
-                cfg.manager_params,
+                params,
                 Transition(
                     states[s], actions[s], span_reward,
                     majority_trend(data, env.t, syms), res.done,

@@ -152,15 +152,12 @@ _BUY, _HOLD, _SELL = TradeAction.BUY, TradeAction.HOLD, TradeAction.SELL
 class EnvConfig:
     initial_cash: float = 1000.0
     target_multiplier: float = 2.0
-    shares_per_trade: int = 1
 
     def __post_init__(self) -> None:
         if self.initial_cash <= 0:
             raise ValueError(f"initial_cash must be > 0, got {self.initial_cash}")
         if self.target_multiplier <= 1:
             raise ValueError(f"target_multiplier must be > 1, got {self.target_multiplier}")
-        if self.shares_per_trade < 1:
-            raise ValueError(f"shares_per_trade must be >= 1, got {self.shares_per_trade}")
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ class MarketEnv:
         return portfolio_value(self.portfolio, self.data.prices_at(self.t))
 
     def step(self, actions: dict[str, TradeAction]) -> StepResult:
-        """Execute one tick: trade at today's opens, then advance to tomorrow.
+        """Execute one tick: trade one share at today's opens, then advance.
 
         Infeasible buys (not enough cash) and sells (no shares) are coerced
         to Hold and reported as such. Reward is the change in total value
@@ -203,18 +200,17 @@ class MarketEnv:
         if self.t >= len(self.data) - 1:
             raise RuntimeError("episode is already exhausted; call reset()")
         p = self.portfolio
-        lot = self.config.shares_per_trade
         prices = self.data._rows[self.t]  # shared, read-only
         value_before = portfolio_value(p, prices)
         executed: dict[str, TradeAction] = {}
         for sym, price in prices.items():
             action = actions.get(sym, _HOLD)
-            if action == _BUY and p.cash >= lot * price:
-                p.cash -= lot * price
-                p.shares[sym] += lot
-            elif action == _SELL and p.shares[sym] >= lot:
-                p.cash += lot * price
-                p.shares[sym] -= lot
+            if action == _BUY and p.cash >= price:
+                p.cash -= price
+                p.shares[sym] += 1
+            elif action == _SELL and p.shares[sym] > 0:
+                p.cash += price
+                p.shares[sym] -= 1
             else:
                 action = _HOLD
             executed[sym] = action
@@ -246,15 +242,17 @@ def moving_average(series, w: int) -> np.ndarray:
     return out
 
 
+GBM_START = 100.0  # every synthetic path opens at this price
+
+
 def synth_gbm(
     n_symbols: int,
     length: int,
     drift: float,
     volatility: float,
     seed: int,
-    s0: float = 100.0,
 ) -> MarketData:
-    """Geometric-Brownian-style paths: log-returns drawn from
+    """Geometric-Brownian-style paths from GBM_START: log-returns drawn from
     Normal(drift, volatility), symbols assigned to sectors round-robin."""
     if length < 2:
         raise ValueError(f"length must be >= 2, got {length}")
@@ -266,7 +264,7 @@ def synth_gbm(
     opens = {}
     for sym in symbols:
         log_returns = drift + volatility * rng.standard_normal(length - 1)
-        path = s0 * np.exp(np.concatenate(([0.0], np.cumsum(log_returns))))
+        path = GBM_START * np.exp(np.concatenate(([0.0], np.cumsum(log_returns))))
         opens[sym] = path
     timestamps = tuple(f"t{i:05d}" for i in range(length))
     return MarketData(symbols, sector_of, opens, timestamps)

@@ -28,6 +28,12 @@ from hrl_lab.rl_core import (
 )
 
 
+OBEDIENCE_BONUS = 0.5  # the worker's, for completing its instruction; never logged
+DISOBEDIENCE_PENALTY = 0.1  # the manager's, when the worker declares off-command
+WORKER_BUDGET_PER_SIDE = 2  # fine steps per burst, per unit of maze width + height
+GREEDY_MOVES_PER_CELL = 4  # greedy_path_len's move cap, per maze cell
+
+
 @dataclass(frozen=True)
 class EpisodeRecord:
     episode: int
@@ -99,13 +105,12 @@ def run_flat_q(
     return FlatRun(logs, table)
 
 
-def greedy_path_len(spec: MazeSpec, table: QTable, cap: int | None = None) -> int | None:
+def greedy_path_len(spec: MazeSpec, table: QTable) -> int | None:
     """Moves the greedy policy takes before a correct Declare, or None if it
-    declares off-goal or fails to finish within the cap."""
-    cap = cap or 4 * spec.x_dim * spec.y_dim
+    declares off-goal or fails to finish within the move cap."""
     cell = spec.start
     moves = 0
-    for _ in range(cap):
+    for _ in range(GREEDY_MOVES_PER_CELL * spec.x_dim * spec.y_dim):
         a = select_action(table, cell, 0.0)
         if a == MazeAction.DECLARE:
             return moves if cell == spec.goal else None
@@ -141,7 +146,6 @@ def run_instruction(
     epsilon: float,
     rng: np.random.Generator | None,
     budget: int,
-    obedience_bonus: float,
 ) -> InstructionOutcome:
     """Let the worker act until the instruction resolves.
 
@@ -178,7 +182,7 @@ def run_instruction(
             instruction_met = new_q != goal[1]
             achieved = False
         burst_over = out.done or instruction_met or budget <= 0
-        bonus = obedience_bonus if achieved else 0.0
+        bonus = OBEDIENCE_BONUS if achieved else 0.0
         q_update(
             worker,
             params,
@@ -196,9 +200,6 @@ def run_feudal(
     episodes: int = 500,
     seed: int = 0,
     goal_mode: str = "quadrant",
-    disobedience_penalty: float = 0.1,
-    obedience_bonus: float = 0.5,
-    worker_budget: int | None = None,
     step_cap: int = 1000,
 ) -> FeudalRun:
     """Two-level training run.
@@ -219,7 +220,7 @@ def run_feudal(
     if len(levels) < 2:
         raise ValueError("maze too small to support a manager level")
     coarse = levels[1]
-    budget0 = worker_budget or 2 * (spec.x_dim + spec.y_dim)
+    budget0 = WORKER_BUDGET_PER_SIDE * (spec.x_dim + spec.y_dim)
     rng = np.random.default_rng(seed)
 
     quadrants = coarse.spec.cells()
@@ -263,7 +264,6 @@ def run_feudal(
                 eps,
                 rng,
                 min(budget0, step_cap - fine_steps),
-                obedience_bonus,
             )
             cell = outcome.cell
             fine_steps += outcome.fine_steps
@@ -273,7 +273,7 @@ def run_feudal(
             q1 = coarse.map_cell(cell)
             mr = coarse.spec.base_reward
             if done:
-                mr += 1.0 if q1 == commanded else -disobedience_penalty
+                mr += 1.0 if q1 == commanded else -DISOBEDIENCE_PENALTY
             mgr_reward += mr
             q_update(manager, params, Transition(q0, ma, mr, q1, done))
         logs.append(EpisodeRecord(ep, fine_steps, env_reward, "worker"))

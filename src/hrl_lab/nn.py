@@ -154,6 +154,10 @@ def flatten(params: MlpParams) -> tuple[np.ndarray, MlpParams]:
     return buf, MlpParams(views[:n], views[n:])
 
 
+# Adam's published defaults (Kingma & Ba 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam with bias correction; flat moments live here, params stay outside.
@@ -163,9 +167,6 @@ class AdamState:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -181,16 +182,16 @@ def adam_update(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
         state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
         state._scratch = (np.empty_like(flat), np.empty_like(flat))
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - ADAM_BETA1**state.t
+    c2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
     step, den = state._scratch
     # m = beta1*m + (1-beta1)*g; v = beta2*v + (1-beta2)*g*g
-    m *= state.beta1
-    np.multiply(1.0 - state.beta1, grad, out=step)
+    m *= ADAM_BETA1
+    np.multiply(1.0 - ADAM_BETA1, grad, out=step)
     m += step
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, grad, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grad, out=step)
     step *= grad
     v += step
     # flat -= lr*(m/c1) / (sqrt(v/c2) + eps)
@@ -198,7 +199,7 @@ def adam_update(state: AdamState, flat: np.ndarray, grad: np.ndarray) -> None:
     step *= state.lr
     np.divide(v, c2, out=den)
     np.sqrt(den, out=den)
-    den += state.eps
+    den += ADAM_EPS
     step /= den
     flat -= step
 

@@ -19,6 +19,7 @@ from hrl_lab.harness import (
     write_runlog,
 )
 from hrl_lab.harness.cli import main
+from hrl_lab.harness.config import KEYS, build_config
 
 ROOT = Path(__file__).resolve().parent.parent
 MAZE_FIXTURE = ROOT / "fixtures" / "maze4x4.txt"
@@ -379,17 +380,62 @@ def test_cli_bad_usage_is_exit_2():
         ("embed", "eps=-1"),
         ("market", "initial_cash=0"),
         ("market", "target_multiplier=1"),
+        ("market", "length=2"),  # every agent needs 3 ticks
+        ("market", "length=4 agents=dqn"),  # dqn needs 5
+        ("embed", "eps=nan"),
+        ("embed", "perplexity=nan"),
+        ("market", "volatility=nan"),
+        ("market", "initial_cash=inf"),
+        ("embed", "k=31"),  # the fixture gives 30 windows
     ],
 )
 def test_cli_rejects_bad_keys_and_values(kind, assignment, tmp_path, monkeypatch, capsys):
-    """Each probe is a config error (exit 2) whose message names the key,
-    caught before any run starts."""
+    """Each probe is a config error (exit 2) whose message names the key of
+    its first KEY=VALUE, caught before any run starts."""
     monkeypatch.chdir(ROOT)  # the shipped configs name fixtures relative to the root
-    argv = [kind, "--config", f"configs/{kind}.conf", "--out", str(tmp_path), "--set", assignment]
+    argv = [kind, "--config", f"configs/{kind}.conf", "--out", str(tmp_path)]
+    for item in assignment.split():
+        argv += ["--set", item]
     if kind == "report":
         argv += ["--set", "logs=out/maze/maze_flat.csv"]
     assert main(argv) == 2
     assert assignment.split("=")[0] in capsys.readouterr().err
+
+
+def test_every_float_key_rejects_non_finite_values():
+    required = {
+        "maze": {"maze_file": str(MAZE_FIXTURE)},
+        "embed": {"telemetry_csv": str(TELEMETRY_FIXTURE)},
+        "report": {"logs": str(TELEMETRY_FIXTURE)},  # any existing file parses
+    }
+    float_keys = []
+    for kind, keys in KEYS.items():
+        for key, spec in keys.items():
+            try:
+                if isinstance(spec.parse("1.5"), float):
+                    float_keys.append((kind, key))
+            except ValueError:
+                pass
+    assert len(float_keys) >= 7
+    for kind, key in float_keys:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=key):
+                build_config(kind, {**required.get(kind, {}), key: value})
+    with pytest.raises(ConfigError, match="bounds"):  # a pair of floats
+        build_config("report", {**required["report"], "bounds": "0,inf"})
+
+
+def test_cli_market_csv_length_floor(tmp_path, capsys):
+    """Four aligned dates are enough for the tick-1 agents, not for dqn."""
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,symbol,open\n" + "".join(f"d{i},AAA,{10 + i}\n" for i in range(4)))
+    sectors = tmp_path / "sectors.csv"
+    sectors.write_text("symbol,sector\nAAA,energy\n")
+    cfg = write_config(tmp_path, f"prices_csv = {prices}\nsectors_csv = {sectors}\nepisodes = 1\n")
+    argv = ["market", "--config", str(cfg), "--out", str(tmp_path / "out"), "--set"]
+    assert main([*argv, "agents=random"]) == 0
+    assert main([*argv, "agents=random,dqn"]) == 2
+    assert "prices_csv" in capsys.readouterr().err
 
 
 def test_cli_report_takes_no_seed(tmp_path, monkeypatch, capsys):

@@ -4,8 +4,6 @@ import pytest
 from hrl_lab.market_agents import (
     AgentRun,
     DqnConfig,
-    FeudalStockConfig,
-    ThresholdConfig,
     behaviors_params,
     dqn_encode_state,
     dqn_inputs,
@@ -60,17 +58,12 @@ def rising_data(n_symbols=1, length=60, start=10.0, step=0.1):
 
 
 def test_hardcoded_policy_oracles():
-    cfg = ThresholdConfig()
-    assert hardcoded_policy(cfg, 0.10) == TradeAction.BUY
-    assert hardcoded_policy(cfg, -0.10) == TradeAction.SELL
-    assert hardcoded_policy(cfg, 0.01) == TradeAction.HOLD
+    assert hardcoded_policy(0.10) == TradeAction.BUY
+    assert hardcoded_policy(-0.10) == TradeAction.SELL
+    assert hardcoded_policy(0.01) == TradeAction.HOLD
     # thresholds themselves are not breached: strictly greater/less
-    assert hardcoded_policy(cfg, 0.05) == TradeAction.HOLD
-    assert hardcoded_policy(cfg, -0.05) == TradeAction.HOLD
-    with pytest.raises(ValueError):
-        ThresholdConfig(buy_threshold=-0.1, sell_threshold=-0.2)
-    with pytest.raises(ValueError):
-        ThresholdConfig(buy_threshold=0.1, sell_threshold=0.2)
+    assert hardcoded_policy(0.05) == TradeAction.HOLD
+    assert hardcoded_policy(-0.05) == TradeAction.HOLD
 
 
 def test_tabular_state_encoding():
@@ -271,7 +264,7 @@ def test_dqn_runs_and_is_reproducible():
         (run_random, {}),
         (run_tabular_q, {}),
         (run_dqn, {"cfg": DqnConfig(hidden_sizes=(8,))}),
-        (run_feudal, {"cfg": FeudalStockConfig(worker_steps_per_goal=3)}),
+        (run_feudal, {}),
         (run_multiworker_counts, {"counts": (1, 2)}),
         (run_multiworker_behaviors, {"params": behaviors_params()}),
     ],

@@ -123,7 +123,7 @@ def test_instruction_goto_already_satisfied_is_free():
     spec, coarse, worker = instruction_env()
     out = run_instruction(
         spec, coarse, worker, default_params(), (1, 1), ("goto", (0, 0)), (0, 0),
-        epsilon=0.0, rng=None, budget=5, obedience_bonus=0.5,
+        epsilon=0.0, rng=None, budget=5,
     )
     assert out.fine_steps == 0
     assert out.cell == (1, 1)
@@ -138,7 +138,7 @@ def test_instruction_direction_stops_on_first_transition():
     out = run_instruction(
         spec, coarse, worker, default_params(), (0, 1),
         ("dir", int(MazeAction.SOUTH)), (0, 1),
-        epsilon=0.0, rng=None, budget=16, obedience_bonus=0.5,
+        epsilon=0.0, rng=None, budget=16,
     )
     assert out.fine_steps == 1
     assert coarse.map_cell(out.cell) == (0, 1)
@@ -152,7 +152,7 @@ def test_instruction_search_ends_when_leaving_quadrant():
     worker.rows[((1, 0), ("search", (0, 0)))][MazeAction.EAST] = 1.0
     out = run_instruction(
         spec, coarse, worker, default_params(), (1, 0), ("search", (0, 0)), (0, 0),
-        epsilon=0.0, rng=None, budget=16, obedience_bonus=0.5,
+        epsilon=0.0, rng=None, budget=16,
     )
     assert out.fine_steps == 1
     assert coarse.map_cell(out.cell) == (1, 0)
@@ -164,7 +164,7 @@ def test_instruction_budget_bounds_burst():
     out = run_instruction(
         spec, coarse, worker, default_params(), (0, 0),
         ("dir", int(MazeAction.NORTH)), (0, 0),
-        epsilon=0.0, rng=None, budget=3, obedience_bonus=0.5,
+        epsilon=0.0, rng=None, budget=3,
     )
     assert out.fine_steps <= 3
     assert not out.done
@@ -176,7 +176,7 @@ def test_instruction_budget_guard():
         run_instruction(
             spec, coarse, worker, default_params(), (0, 0),
             ("dir", int(MazeAction.SOUTH)), (0, 1),
-            epsilon=0.0, rng=None, budget=0, obedience_bonus=0.5,
+            epsilon=0.0, rng=None, budget=0,
         )
 
 
