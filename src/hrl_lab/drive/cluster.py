@@ -25,15 +25,23 @@ class CentroidSet:
 
 
 MAX_LLOYD_ITERS = 100
+# k-means++ starts per fit. One start can settle with two well-separated
+# groups under one centroid; the best of several rarely does.
+N_INIT = 10
 
 
 def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> CentroidSet:
-    """Lloyd's algorithm with k-means++ seeding.
+    """Lloyd's algorithm from N_INIT k-means++ starts; the lowest final
+    inertia wins.
 
-    Runs until the assignment stops changing or MAX_LLOYD_ITERS updates
-    pass. A cluster that empties out is re-seeded to the point currently
-    farthest from its own centroid. Distance ties assign to the lowest
-    centroid index.
+    All starts draw from one generator seeded with `seed`, one after the
+    other, so the first start is the one a single-start fit would make; a
+    later start replaces the best so far only when its inertia is
+    strictly lower.
+    Each start runs until the assignment stops changing or MAX_LLOYD_ITERS
+    updates pass. A cluster that empties out is re-seeded to the point
+    currently farthest from its own centroid. Distance ties assign to the
+    lowest centroid index.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -47,7 +55,16 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> CentroidSet:
         raise ValueError(f"k={k} exceeds the number of points ({n})")
 
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_seed(points, k, rng)
+    best = None
+    for _ in range(N_INIT):
+        fit = _lloyd(points, _plus_plus_seed(points, k, rng))
+        if best is None or fit.inertia < best.inertia:
+            best = fit
+    return best
+
+
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> CentroidSet:
+    n, k = points.shape[0], centroids.shape[0]
     assignment = _assign(points, centroids)
     trace = [_inertia(points, centroids, assignment)]
     for _ in range(MAX_LLOYD_ITERS):

@@ -6,7 +6,7 @@ arithmetic stays auditable against hand-computed cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,57 +40,88 @@ class TsneEmbedding:
     kl_trace: list[float]
     p_matrix: np.ndarray
     q_matrix: np.ndarray
-    config: TsneConfig = field(repr=False, default_factory=TsneConfig)
 
 
 def perplexity_calibration(sq_dists: np.ndarray, perplexity: float) -> np.ndarray:
     """Soft-neighbor probabilities for one point's squared distances.
 
-    Binary-searches the Gaussian precision beta so that 2**H(P) lands
-    within 1e-5 of the requested perplexity, giving up after 50 halvings.
-    Equal distances make the row uniform for every beta, so that case
-    returns immediately.
+    The Gaussian row whose perplexity lands within 1e-5 of the target: the
+    one-row case of the search `joint_probabilities` runs on every row.
     """
     d = np.asarray(sq_dists, dtype=float)
-    if d.ndim != 1 or d.size == 0:
+    if d.ndim != 1:
+        raise ValueError("squared distances must be a non-empty 1-D array")
+    return _calibrate_rows(d[None, :], perplexity)[0]
+
+
+def _calibrate_rows(d: np.ndarray, perplexity: float) -> np.ndarray:
+    """Soft-neighbor probabilities for every row of squared distances d.
+
+    Binary-searches each row's Gaussian precision beta so that 2**H(P)
+    lands within 1e-5 of the requested perplexity, giving up after 50
+    halvings. All rows search at once, each with its own beta and bracket,
+    and a row leaves the search once it has converged. A row of equal
+    distances is uniform for every beta, so it never enters the search.
+    """
+    if d.shape[1] == 0:
         raise ValueError("squared distances must be a non-empty 1-D array")
     if not np.all(np.isfinite(d)) or np.any(d < 0):
         raise ValueError("squared distances must be finite and non-negative")
-    n = d.size
-    if np.all(d == d[0]):
-        return np.full(n, 1.0 / n)
-
-    # Shifting distances by their minimum leaves the normalized row (and
-    # hence the entropy) untouched but keeps exp() away from underflow.
-    d = d - d.min()
-    beta = 1.0
-    beta_lo, beta_hi = 0.0, np.inf
-    row = _gaussian_row(d, beta)
+    rows = np.full(d.shape, 1.0 / d.shape[1])
+    live = np.flatnonzero((d != d[:, :1]).any(axis=1))
+    # Shifting distances by their row minimum leaves the normalized row
+    # (and hence the entropy) untouched but keeps exp() away from underflow.
+    shifted = d[live]
+    shifted -= shifted.min(axis=1, keepdims=True)
+    beta = np.ones(live.size)
+    beta_lo, beta_hi = np.zeros(live.size), np.full(live.size, np.inf)
+    found = _gaussian_rows(shifted, beta)
     for _ in range(CALIBRATION_MAX_ITERS):
-        achieved = 2.0 ** _entropy_bits(row)
-        if abs(achieved - perplexity) <= CALIBRATION_TOL:
-            break
-        if achieved > perplexity:
-            beta_lo = beta
-            beta = beta * 2.0 if beta_hi == np.inf else (beta + beta_hi) / 2.0
-        else:
-            beta_hi = beta
-            beta = (beta + beta_lo) / 2.0
-        row = _gaussian_row(d, beta)
-    return row
+        # Python's float pow: numpy's power may round the last bit otherwise.
+        achieved = np.array([2.0**h for h in _entropy_bits(found).tolist()])
+        miss = np.abs(achieved - perplexity) > CALIBRATION_TOL
+        if not miss.all():
+            rows[live[~miss]] = found[~miss]
+            live, shifted, achieved, beta, beta_lo, beta_hi = (
+                a[miss] for a in (live, shifted, achieved, beta, beta_lo, beta_hi)
+            )
+        if live.size == 0:
+            return rows
+        wide = achieved > perplexity
+        beta_lo = np.where(wide, beta, beta_lo)
+        beta_hi = np.where(wide, beta_hi, beta)
+        grown = np.where(beta_hi == np.inf, beta * 2.0, (beta + beta_hi) / 2.0)
+        beta = np.where(wide, grown, (beta + beta_lo) / 2.0)
+        found = _gaussian_rows(shifted, beta, out=found[: live.size])
+    rows[live] = found
+    return rows
 
 
-def _gaussian_row(shifted_sq_dists: np.ndarray, beta: float) -> np.ndarray:
-    p = np.exp(-beta * shifted_sq_dists)
-    total = p.sum()
-    if total <= 0:
-        raise FloatingPointError("calibration underflow; distances too spread out")
-    return p / total
+def _gaussian_rows(shifted: np.ndarray, beta: np.ndarray, out=None) -> np.ndarray:
+    rows = np.multiply(shifted, -beta[:, None], out=out)
+    np.exp(rows, out=rows)
+    # Each row holds an exp(0) = 1, so no row sum is zero.
+    rows /= rows.sum(axis=1)[:, None]
+    return rows
 
 
-def _entropy_bits(row: np.ndarray) -> float:
-    nz = row[row > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def _entropy_bits(rows: np.ndarray) -> np.ndarray:
+    """Each row's entropy in bits, over its positive entries only.
+
+    Rows with the same number of positive entries are packed into one
+    block and summed along its rows, so every sum runs over exactly the
+    entries, in the order, that the row's own 1-D sum would.
+    """
+    positive = rows > 0
+    counts = positive.sum(axis=1)
+    h = np.empty(len(rows))
+    for c in np.unique(counts):
+        same = counts == c
+        nz = rows[positive & same[:, None]].reshape(-1, c)
+        terms = np.log2(nz)
+        terms *= nz
+        h[same] = terms.sum(axis=1)
+    return -h
 
 
 def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
@@ -103,15 +134,15 @@ def _pairwise_sq_dists(x: np.ndarray) -> np.ndarray:
 def joint_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized input-space affinities P with zero diagonal."""
     n = x.shape[0]
-    d = _pairwise_sq_dists(x)
+    others = _off_diagonal(_pairwise_sq_dists(x)).reshape(n, n - 1)
+    cond_rows = _calibrate_rows(others, perplexity)
     cond = np.zeros((n, n))
-    idx = np.arange(n)
-    for i in range(n):
-        others = idx != i
-        cond[i, others] = perplexity_calibration(d[i, others], perplexity)
-    p = (cond + cond.T) / (2.0 * n)
+    _off_diagonal(cond)[:] = cond_rows.reshape(n - 1, n)
+    p = cond + cond.T
+    p /= 2.0 * n
+    np.maximum(p, P_FLOOR, out=p)
     np.fill_diagonal(p, 0.0)
-    return np.maximum(p, P_FLOOR * (1 - np.eye(n)))
+    return p
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -145,6 +176,9 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
     Early exaggeration multiplies P for the first EXAGGERATION_ITERS
     updates; the KL trace is always scored against the true P, so trace[0]
     (the random init) and trace[-1] (the final layout) are comparable.
+    The n x n work arrays are allocated once per fit and every update
+    writes into them; each value is the one that `kl_divergence` and the
+    textbook formulas give on fresh arrays, bit for bit.
     """
     config = config or TsneConfig()
     x = np.asarray(x, dtype=float)
@@ -167,33 +201,83 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
     # the lr=200 convention comes from; without them that rate diverges.
     gains = np.ones_like(y)
 
-    q, num = _low_dim_affinities(y)
-    kl_trace = [kl_divergence(p, q)]
+    # P_FLOOR keeps every off-diagonal p positive, so P's support is the
+    # whole off-diagonal and KL only needs its entries, in row-major order.
+    ps = _off_diagonal(p).ravel()
+    num, q, pq = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    num_diag, q_diag, pq_diag = (_diagonal(a) for a in (num, q, pq))
+    # The KL terms borrow pq's first n(n-1) entries: KL is scored after the
+    # gradient step has used pq and before the next one refills it.
+    terms = pq.reshape(-1)[: ps.size]
+    q_off, terms_block = _off_diagonal(q), terms.reshape(n - 1, n)
+
+    def affinities() -> None:
+        # Student-t kernel num = (1 + d^2)^-1 and Q = num / sum(num), with
+        # zero diagonals; Q is floored at P_FLOOR off the diagonal.
+        sq = (y * y).sum(axis=1)
+        np.add(sq[:, None], sq, out=num)
+        yy = y @ y.T
+        yy *= 2.0
+        np.subtract(num, yy, out=num)
+        np.maximum(num, 0.0, out=num)
+        np.add(num, 1.0, out=num)
+        np.divide(1.0, num, out=num)
+        num_diag.fill(0.0)
+        np.divide(num, num.sum(), out=q)
+        np.maximum(q, P_FLOOR, out=q)
+        q_diag.fill(0.0)
+
+    def kl() -> float:
+        np.copyto(terms_block, q_off)
+        if terms.min() <= 0:
+            raise ValueError("q is zero on p's support; divergence is infinite")
+        np.divide(ps, terms, out=terms)
+        np.log(terms, out=terms)
+        np.multiply(ps, terms, out=terms)
+        return float(terms.sum())
+
+    affinities()
+    kl_trace = [kl()]
     for it in range(config.iterations):
-        p_eff = p * EXAGGERATION if it < EXAGGERATION_ITERS else p
-        grad = _kl_gradient(p_eff, q, num, y)
+        # dKL/dy_i = 4 * sum_j (p_ij - q_ij) * (y_i - y_j) / (1 + |y_i - y_j|^2),
+        # as (4 * (diag(rowsum(pq)) - pq)) @ y with pq = (p - q) * num.
+        if it < EXAGGERATION_ITERS:
+            np.multiply(p, EXAGGERATION, out=pq)
+            pq -= q
+        else:
+            np.subtract(p, q, out=pq)
+        pq *= num
+        row_sums = pq.sum(axis=1)
+        row_sums -= pq_diag
+        np.subtract(0.0, pq, out=pq)
+        pq_diag[:] = row_sums
+        pq *= 4.0
+        grad = pq @ y
+
         momentum = MOMENTUM_EARLY if it < MOMENTUM_SWITCH else MOMENTUM_LATE
         same_dir = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_dir, gains * 0.8, gains + 0.2)
-        np.clip(gains, 0.01, None, out=gains)
-        velocity = momentum * velocity - LEARNING_RATE * (gains * grad)
-        y = y + velocity
-        y = y - y.mean(axis=0)
-        q, num = _low_dim_affinities(y)
-        kl_trace.append(kl_divergence(p, q))
+        np.maximum(gains, 0.01, out=gains)
+        grad *= gains
+        grad *= LEARNING_RATE
+        velocity *= momentum
+        velocity -= grad
+        y += velocity
+        y -= y.sum(axis=0) / n  # y.mean(axis=0) in the same bits, minus its overhead
+        affinities()
+        kl_trace.append(kl())
 
-    return TsneEmbedding(coords=y, kl_trace=kl_trace, p_matrix=p, q_matrix=q, config=config)
-
-
-def _low_dim_affinities(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Student-t affinities Q plus the unnormalized kernel (1 + d^2)^-1."""
-    num = 1.0 / (1.0 + _pairwise_sq_dists(y))
-    np.fill_diagonal(num, 0.0)
-    q = num / num.sum()
-    return np.maximum(q, P_FLOOR * (1 - np.eye(y.shape[0]))), num
+    return TsneEmbedding(coords=y, kl_trace=kl_trace, p_matrix=p, q_matrix=q)
 
 
-def _kl_gradient(p: np.ndarray, q: np.ndarray, num: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # dKL/dy_i = 4 * sum_j (p_ij - q_ij) * (y_i - y_j) / (1 + |y_i - y_j|^2)
-    pq = (p - q) * num
-    return 4.0 * (np.diag(pq.sum(axis=1)) - pq) @ y
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of a square C-contiguous array's diagonal."""
+    return a.reshape(-1)[:: a.shape[0] + 1]
+
+
+def _off_diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable (n-1) x n view of a square C-contiguous array's off-diagonal
+    entries in row-major order: dropping a[0, 0] leaves n-1 runs of n + 1
+    entries, each ending on the next diagonal entry."""
+    n = a.shape[0]
+    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]

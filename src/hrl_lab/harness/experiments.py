@@ -84,29 +84,28 @@ def _maze_experiment(cfg: ExperimentConfig) -> list[Path]:
     return _write_logs(cfg, logs)
 
 
-def _market_data(cfg: ExperimentConfig, seed: int):
-    p = cfg.params
-    if p["prices_csv"] is not None:
-        return load_csv(p["prices_csv"], p["sectors_csv"])
-    return synth_gbm(p["n_symbols"], p["length"], p["drift"], p["volatility"], seed=seed)
-
-
 def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
+    p = cfg.params
     # Zero means "each runner's own default episode budget".
-    kwargs = {"episodes": cfg.params["episodes"]} if cfg.params["episodes"] > 0 else {}
+    kwargs = {"episodes": p["episodes"]} if p["episodes"] > 0 else {}
     try:
-        env_cfg = EnvConfig(cfg.params["initial_cash"], cfg.params["target_multiplier"])
+        env_cfg = EnvConfig(p["initial_cash"], p["target_multiplier"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # Episodes start at tick 1 (dqn: 3) and need one tick to step into. Every
     # seed's data has one length, so the first seed is checked before any run.
     needed = 5 if "dqn" in cfg.agents else 3
+    # CSV prices do not depend on the seed, so every seed shares one load.
+    csv_data = None if p["prices_csv"] is None else load_csv(p["prices_csv"], p["sectors_csv"])
 
     logs = {agent: RunLog(agent=agent) for agent in cfg.agents}
     for seed in cfg.seeds:
-        data = _market_data(cfg, seed)
+        if csv_data is None:
+            data = synth_gbm(p["n_symbols"], p["length"], p["drift"], p["volatility"], seed=seed)
+        else:
+            data = csv_data
         if len(data) < needed:
-            key = "length" if cfg.params["prices_csv"] is None else "prices_csv"
+            key = "length" if csv_data is None else "prices_csv"
             raise ConfigError(
                 f"{key} gives {len(data)} ticks; {', '.join(cfg.agents)} need at least {needed}"
             )

@@ -225,6 +225,45 @@ def test_kmeans_deterministic_per_seed():
     assert np.array_equal(a.assignment, b.assignment)
 
 
+def test_kmeans_restarts_split_blobs_one_start_merges(monkeypatch):
+    """Seed 4's first k-means++ start puts two centroids in one blob and
+    leaves two blobs under the third; a later start finds the three blobs."""
+    from hrl_lab.drive import cluster
+
+    rng = np.random.default_rng(1)
+    centers = np.array([[0.0, 0.0], [6.0, 0.0], [3.0, 5.0]])
+    pts = np.concatenate([c + 0.5 * rng.normal(size=(15, 2)) for c in centers])
+    labels = np.repeat(np.arange(3), 15)
+
+    def blobs_split(cs):
+        return sorted(len(set(labels[cs.assignment == c])) for c in range(3)) == [1, 1, 1]
+
+    monkeypatch.setattr(cluster, "N_INIT", 1)
+    first = kmeans_fit(pts, k=3, seed=4)
+    monkeypatch.undo()
+    best = kmeans_fit(pts, k=3, seed=4)
+    assert cluster.N_INIT > 1
+    assert not blobs_split(first)
+    assert blobs_split(best)
+    assert best.inertia < first.inertia
+    assert best.inertia == best.inertia_trace[-1]
+
+
+def test_kmeans_first_start_wins_unless_beaten(monkeypatch):
+    """On blobs every start separates, later starts tie the first start's
+    inertia at best, and the first start's fit is returned unchanged."""
+    from hrl_lab.drive import cluster
+
+    pts, _ = three_blobs(n_per=15, seed=1)
+    monkeypatch.setattr(cluster, "N_INIT", 1)
+    first = kmeans_fit(pts, k=3, seed=0)
+    monkeypatch.undo()
+    best = kmeans_fit(pts, k=3, seed=0)
+    assert np.array_equal(best.centroids, first.centroids)
+    assert np.array_equal(best.assignment, first.assignment)
+    assert best.inertia_trace == first.inertia_trace
+
+
 def handmade_cs(assignment, k=3):
     assignment = np.asarray(assignment)
     return CentroidSet(

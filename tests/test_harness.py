@@ -443,3 +443,26 @@ def test_cli_report_takes_no_seed(tmp_path, monkeypatch, capsys):
     argv = ["report", "--config", "configs/report.conf", "--out", str(tmp_path), "--seed", "7"]
     assert main(argv) == 2
     assert "seeds" in capsys.readouterr().err
+
+
+def test_cli_market_csv_loads_once_for_every_seed(tmp_path, monkeypatch):
+    """CSV prices do not depend on the seed: one load serves all seeds, and
+    each seed's rows are those of a run of that seed alone."""
+    from hrl_lab.harness import experiments
+
+    loads, real_load = [], experiments.load_csv
+
+    def counted(*args):
+        loads.append(args)
+        return real_load(*args)
+
+    monkeypatch.setattr(experiments, "load_csv", counted)
+    monkeypatch.chdir(ROOT)
+    argv = ["market", "--config", "configs/market_fixture.conf", "--set", "agents=tabular"]
+    assert main([*argv, "--out", str(tmp_path / "both"), "--set", "seeds=0,1"]) == 0
+    assert len(loads) == 1
+    for seed in (0, 1):
+        assert main([*argv, "--out", str(tmp_path / f"s{seed}"), "--set", f"seeds={seed}"]) == 0
+    rows = {name: read_runlog(tmp_path / name / "market_tabular.csv").rows
+            for name in ("both", "s0", "s1")}
+    assert rows["both"] == rows["s0"] + rows["s1"]
