@@ -33,6 +33,11 @@ class TsneConfig:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
 
+    @property
+    def min_points(self) -> int:
+        """The fewest points a fit at this perplexity accepts."""
+        return int(2 * self.perplexity + 1)
+
 
 @dataclass
 class TsneEmbedding:
@@ -187,10 +192,9 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite values")
     n = x.shape[0]
-    needed = int(2 * config.perplexity + 1)
-    if n < needed:
+    if n < config.min_points:
         raise ValueError(
-            f"need at least {needed} points for perplexity {config.perplexity}, got {n}"
+            f"need at least {config.min_points} points for perplexity {config.perplexity}, got {n}"
         )
 
     p = joint_probabilities(x, config.perplexity)

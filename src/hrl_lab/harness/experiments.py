@@ -16,8 +16,10 @@ from hrl_lab.drive import (
     window_telemetry,
 )
 from hrl_lab.harness.config import ConfigError, ExperimentConfig
-from hrl_lab.harness.runlog import RunLog, RunRow, write_runlog
+from hrl_lab.harness.runlog import RunLog, write_runlog
 from hrl_lab.market_agents import (
+    DQN_START_TICK,
+    START_TICK,
     run_dqn,
     run_hardcoded,
     run_multiworker_behaviors,
@@ -71,15 +73,14 @@ def _maze_experiment(cfg: ExperimentConfig) -> list[Path]:
         log = RunLog(agent=agent)
         for seed in cfg.seeds:
             if agent == "flat":
-                run = run_flat_q(spec, episodes=episodes, seed=seed, step_cap=step_cap)
+                rows, _ = run_flat_q(spec, episodes=episodes, seed=seed, step_cap=step_cap)
             else:
                 goal_mode = agent.removeprefix("feudal_")
-                run = run_maze_feudal(
+                rows, _ = run_maze_feudal(
                     spec, episodes=episodes, seed=seed, goal_mode=goal_mode, step_cap=step_cap
                 )
-            for rec in run.episodes:
-                if rec.role == "worker":
-                    log.append(RunRow(seed, rec.episode, rec.steps, rec.reward))
+            for row in rows:
+                log.append(row)
         logs.append(log)
     return _write_logs(cfg, logs)
 
@@ -92,9 +93,10 @@ def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
         env_cfg = EnvConfig(p["initial_cash"], p["target_multiplier"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # Episodes start at tick 1 (dqn: 3) and need one tick to step into. Every
-    # seed's data has one length, so the first seed is checked before any run.
-    needed = 5 if "dqn" in cfg.agents else 3
+    # An episode starts at its start tick and needs one tick to step into,
+    # so the data needs start + 2 ticks. Every seed's data has one length,
+    # so the first seed is checked before any run.
+    needed = (DQN_START_TICK if "dqn" in cfg.agents else START_TICK) + 2
     # CSV prices do not depend on the seed, so every seed shares one load.
     csv_data = None if p["prices_csv"] is None else load_csv(p["prices_csv"], p["sectors_csv"])
 
@@ -111,10 +113,8 @@ def _market_experiment(cfg: ExperimentConfig) -> list[Path]:
             )
         for agent in cfg.agents:
             env = MarketEnv(data, env_cfg)
-            run = MARKET_AGENTS[agent](env, seed=seed, **kwargs)
-            for rec in run.records:
-                row = (rec.episode, rec.ticks_to_double, rec.cumulative_reward, rec.final_value)
-                logs[agent].append(RunRow(seed, *row))
+            for row in MARKET_AGENTS[agent](env, seed=seed, **kwargs):
+                logs[agent].append(row)
     return _write_logs(cfg, [logs[a] for a in cfg.agents])
 
 
@@ -128,10 +128,9 @@ def _embed_experiment(cfg: ExperimentConfig) -> list[Path]:
     windows = window_telemetry(series, m=p["window"])
     if not windows:
         raise ConfigError("telemetry too short for the configured window length")
-    needed = int(2 * tsne_cfg.perplexity + 1)  # tsne_fit's own floor
-    if len(windows) < needed:
+    if len(windows) < tsne_cfg.min_points:
         raise ConfigError(
-            f"perplexity {tsne_cfg.perplexity} needs at least {needed} windows,"
+            f"perplexity {tsne_cfg.perplexity} needs at least {tsne_cfg.min_points} windows,"
             f" the telemetry gives {len(windows)}"
         )
     if p["k"] > len(windows):

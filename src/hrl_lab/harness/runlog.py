@@ -6,16 +6,9 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from hrl_lab.rl_core import RunRow
+
 RUNLOG_HEADER = ("agent", "seed", "episode", "steps", "reward", "value")
-
-
-@dataclass(frozen=True)
-class RunRow:
-    seed: int
-    episode: int
-    steps: int
-    reward: float
-    value: float | None = None
 
 
 @dataclass
@@ -75,20 +68,18 @@ def read_runlog(path: str | Path) -> RunLog:
             raise ValueError(f"{path}: expected header {','.join(RUNLOG_HEADER)}")
         log: RunLog | None = None
         for rec in reader:
-            agent, seed, episode, steps, reward, value = rec
-            if log is None:
-                log = RunLog(agent=agent)
-            elif agent != log.agent:
-                raise ValueError(f"{path}: mixed agents {log.agent!r} and {agent!r}")
-            log.append(
-                RunRow(
-                    seed=int(seed),
-                    episode=int(episode),
-                    steps=int(steps),
-                    reward=float(reward),
-                    value=None if value == "" else float(value),
-                )
-            )
+            try:
+                if len(rec) != len(RUNLOG_HEADER):
+                    raise ValueError(f"expected {len(RUNLOG_HEADER)} fields, got {len(rec)}")
+                agent, seed, episode, steps, reward, value = rec
+                if log is None:
+                    log = RunLog(agent=agent)
+                elif agent != log.agent:
+                    raise ValueError(f"mixed agents {log.agent!r} and {agent!r}")
+                value = None if value == "" else float(value)
+                log.append(RunRow(int(seed), int(episode), int(steps), float(reward), value))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if log is None:
         raise ValueError(f"{path}: no data rows")
     return log

@@ -11,9 +11,10 @@ that makes one decision: a tick for the random, hard-coded, deep-Q and
 behavior agents, a span of ticks for the tabular, feudal and count agents,
 whose per-symbol tables all act and learn in one span body, ``_run_span``.
 An episode ends when the portfolio doubles or the data runs out, and each
-one logs how many ticks it took, the final value, and the cumulative
-reward. Tables and network weights persist across episodes; only the
-portfolio and the data cursor reset.
+runner returns one run-log row per episode: its seed, how many ticks it
+took, the cumulative reward, and the final value. Tables and network
+weights persist across episodes; only the portfolio and the data cursor
+reset.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from hrl_lab.rl_core import (
     LearningParams,
     QTable,
     ReplayBuffer,
+    RunRow,
     Transition,
     epsilon_greedy,
     q_update,
@@ -60,6 +62,10 @@ ACTIONS = tuple(TradeAction)  # ACTIONS[i] is TradeAction(i) without the enum ca
 BUY_THRESHOLD, SELL_THRESHOLD = 0.05, -0.05
 # A feudal sector manager's decision holds for this many ticks.
 WORKER_STEPS_PER_GOAL = 5
+# Episodes start at the first tick with a previous open to compare with;
+# the deep-Q agent's start is the first tick with three previous opens.
+START_TICK = 1
+DQN_START_TICK = 3
 
 
 def hardcoded_policy(delta: float) -> TradeAction:
@@ -85,23 +91,6 @@ def majority_trend(data: MarketData, t: int, symbols: tuple[str, ...] | None = N
     return "up" if ups > len(symbols) - ups else "down"
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One episode: ticks_to_double is -1 when the data ran out first."""
-
-    episode: int
-    ticks_to_double: int
-    final_value: float
-    cumulative_reward: float
-
-
-@dataclass
-class AgentRun:
-    agent: str
-    seed: int
-    records: list[RunRecord]
-
-
 def market_params() -> LearningParams:
     """Tiny alpha on purpose: per-tick rewards are dominated by price noise
     (sigma is roughly the whole position's one-tick move), so a fast table
@@ -121,15 +110,14 @@ DEFAULT_EPISODES = 3
 
 def _episodes(
     env: MarketEnv,
-    agent: str,
     seed: int,
     episodes: int,
     play: Callable[[int], tuple[float, StepResult]],
-    start_t: int = 1,
-) -> AgentRun:
+    start_t: int = START_TICK,
+) -> list[RunRow]:
     """The episode loop of every runner: reset to start_t, then call
     ``play(ep)`` until the step it returns is done, summing its rewards."""
-    records = []
+    rows = []
     for ep in range(episodes):
         env.reset(start_t)
         cum = 0.0
@@ -138,11 +126,9 @@ def _episodes(
             cum += reward
             if res.done:
                 doubled = res.total_value >= env.target
-                records.append(
-                    RunRecord(ep, env.ticks if doubled else -1, res.total_value, cum)
-                )
+                rows.append(RunRow(seed, ep, env.ticks if doubled else -1, cum, res.total_value))
                 break
-    return AgentRun(agent, seed, records)
+    return rows
 
 
 def _per_symbol_gain(env: MarketEnv, t: int, sym: str) -> float:
@@ -171,7 +157,7 @@ def run_hardcoded(
     env: MarketEnv,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     data = env.data
 
     def play(ep: int) -> tuple[float, StepResult]:
@@ -184,14 +170,14 @@ def run_hardcoded(
         )
         return res.reward, res
 
-    return _episodes(env, "hardcoded", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)
 
 
 def run_random(
     env: MarketEnv,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     symbols = env.data.symbols
     rng = np.random.default_rng(seed)
 
@@ -199,7 +185,7 @@ def run_random(
         res = env.step({sym: ACTIONS[int(rng.integers(N_ACTIONS))] for sym in symbols})
         return res.reward, res
 
-    return _episodes(env, "random", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)
 
 
 def _run_span(
@@ -271,7 +257,7 @@ def run_tabular_q(
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
     tables: dict[str, QTable] | None = None,
-) -> AgentRun:
+) -> list[RunRow]:
     """Pass pre-built tables to warm-start or to inspect the learned policy."""
     params = params or market_params()
     schedule = schedule or market_schedule()
@@ -283,7 +269,7 @@ def run_tabular_q(
         # one span as long as the data: it always ends the episode
         return run_worker_span(env, tables, len(env.data), schedule.epsilon(ep), rng, params)
 
-    return _episodes(env, "tabular-q", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)
 
 
 @dataclass
@@ -336,7 +322,7 @@ def run_dqn(
     schedule: ExplorationSchedule | None = None,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     """A single network shared across symbols: input is the encoded price
     window plus the acting symbol's one-hot, output is Q over the three
     actions. Each tick pushes one transition per symbol and trains on
@@ -348,9 +334,9 @@ def run_dqn(
     # benchmark's market peak RSS read 51.5 MB instead of 47.2.
     inputs = dqn_inputs(env.data)
     return _episodes(
-        env, "dqn", seed, episodes,
+        env, seed, episodes,
         _dqn_player(env, cfg or DqnConfig(), schedule or market_schedule(), seed, inputs),
-        start_t=3,
+        start_t=DQN_START_TICK,
     )
 
 
@@ -390,8 +376,6 @@ def _dqn_player(
                 )
             )
         for _ in range(cfg.train_steps):
-            if not len(buffer):
-                break
             tr = buffer.sample(rng)
             acts = trace(params, tr.s0)
             # gamma == 0 zeroes the bootstrap term, so its forward pass is skipped
@@ -436,7 +420,7 @@ def run_feudal(
     schedule: ExplorationSchedule | None = None,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     """Six sector managers each decide trade-or-skip for
     WORKER_STEPS_PER_GOAL ticks; per-symbol workers act inside traded
     sectors and idle elsewhere. Managers learn from the whole portfolio's
@@ -474,7 +458,7 @@ def run_feudal(
             )
         return span_reward, res
 
-    return _episodes(env, "feudal", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)
 
 
 def run_multiworker_counts(
@@ -484,7 +468,7 @@ def run_multiworker_counts(
     schedule: ExplorationSchedule | None = None,
     episodes: int = DEFAULT_EPISODES,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     """The manager's action picks which worker acts; each worker is a full
     per-symbol tabular trader that runs for its own number of ticks before
     control returns to the manager."""
@@ -507,7 +491,7 @@ def run_multiworker_counts(
         )
         return span_reward, res
 
-    return _episodes(env, "multiworker-counts", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)
 
 
 def fixed_worker_actions(
@@ -548,7 +532,7 @@ def run_multiworker_behaviors(
     schedule: ExplorationSchedule | None = None,
     episodes: int = 8,
     seed: int = 0,
-) -> AgentRun:
+) -> list[RunRow]:
     """Three fixed workers (momentum, contrarian, random); a Q-learning
     manager picks which one trades each tick.
 
@@ -571,4 +555,4 @@ def run_multiworker_behaviors(
         q_update(manager, params, Transition(t, wi, res.reward, t + 1, res.done))
         return res.reward, res
 
-    return _episodes(env, "multiworker-behaviors", seed, episodes, play)
+    return _episodes(env, seed, episodes, play)

@@ -12,7 +12,7 @@ from hrl_lab.maze.env import (
     shortest_path_len,
     step,
 )
-from hrl_lab.maze.agents import EpisodeRecord, greedy_path_len, run_feudal, run_flat_q
+from hrl_lab.maze.agents import greedy_path_len, run_feudal, run_flat_q
 
 __all__ = [
     "MazeAction",
@@ -25,7 +25,6 @@ __all__ = [
     "make_maze",
     "shortest_path_len",
     "step",
-    "EpisodeRecord",
     "greedy_path_len",
     "run_feudal",
     "run_flat_q",

@@ -22,6 +22,7 @@ from hrl_lab.rl_core import (
     ExplorationSchedule,
     LearningParams,
     QTable,
+    RunRow,
     Transition,
     q_update,
     select_action,
@@ -32,27 +33,6 @@ OBEDIENCE_BONUS = 0.5  # the worker's, for completing its instruction; never log
 DISOBEDIENCE_PENALTY = 0.1  # the manager's, when the worker declares off-command
 WORKER_BUDGET_PER_SIDE = 2  # fine steps per burst, per unit of maze width + height
 GREEDY_MOVES_PER_CELL = 4  # greedy_path_len's move cap, per maze cell
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    episode: int
-    steps: int
-    reward: float
-    role: str
-
-
-@dataclass
-class FlatRun:
-    episodes: list[EpisodeRecord]
-    table: QTable
-
-
-@dataclass
-class FeudalRun:
-    episodes: list[EpisodeRecord]
-    manager: QTable
-    worker: QTable
 
 
 def default_params() -> LearningParams:
@@ -78,15 +58,18 @@ def run_flat_q(
     episodes: int = 500,
     seed: int = 0,
     step_cap: int = 1000,
-) -> FlatRun:
-    """Train a single Q-table over (cell, action) episode by episode."""
+) -> tuple[list[RunRow], QTable]:
+    """Train a single Q-table over (cell, action) episode by episode.
+
+    Returns one row per episode (actions taken, environment reward) and the
+    trained table."""
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
     params = params or default_params()
     schedule = schedule or flat_schedule()
     rng = np.random.default_rng(seed)
     table = QTable(len(MazeAction), states=spec.cells())
-    logs = []
+    rows = []
     for ep in range(episodes):
         eps = schedule.epsilon(ep)
         cell = spec.start
@@ -101,8 +84,8 @@ def run_flat_q(
             cell = out.cell
             if out.done:
                 break
-        logs.append(EpisodeRecord(ep, steps, total, "worker"))
-    return FlatRun(logs, table)
+        rows.append(RunRow(seed, ep, steps, total))
+    return rows, table
 
 
 def greedy_path_len(spec: MazeSpec, table: QTable) -> int | None:
@@ -201,7 +184,7 @@ def run_feudal(
     seed: int = 0,
     goal_mode: str = "quadrant",
     step_cap: int = 1000,
-) -> FeudalRun:
+) -> tuple[list[RunRow], list[RunRow]]:
     """Two-level training run.
 
     The manager picks among the five actions on the coarse level. A move
@@ -209,6 +192,9 @@ def run_feudal(
     direction mode "make one quadrant transition that way". Declare becomes
     "search the current quadrant". Each instruction hands control to the
     worker for a bounded burst of fine steps.
+
+    Returns the worker's rows (fine steps, environment reward) and the
+    manager's rows (decisions, manager reward), one per episode each.
     """
     if goal_mode not in ("quadrant", "direction"):
         raise ValueError(f"goal_mode must be 'quadrant' or 'direction', got {goal_mode!r}")
@@ -230,7 +216,7 @@ def run_feudal(
     worker = QTable(len(MazeAction), states=[(c, g) for c in spec.cells() for g in goals])
     manager = QTable(len(MazeAction), states=quadrants)
 
-    logs = []
+    worker_rows, manager_rows = [], []
     for ep in range(episodes):
         eps = schedule.epsilon(ep)
         cell = spec.start
@@ -276,6 +262,6 @@ def run_feudal(
                 mr += 1.0 if q1 == commanded else -DISOBEDIENCE_PENALTY
             mgr_reward += mr
             q_update(manager, params, Transition(q0, ma, mr, q1, done))
-        logs.append(EpisodeRecord(ep, fine_steps, env_reward, "worker"))
-        logs.append(EpisodeRecord(ep, decisions, mgr_reward, "manager"))
-    return FeudalRun(logs, manager, worker)
+        worker_rows.append(RunRow(seed, ep, fine_steps, env_reward))
+        manager_rows.append(RunRow(seed, ep, decisions, mgr_reward))
+    return worker_rows, manager_rows

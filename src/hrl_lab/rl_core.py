@@ -1,8 +1,8 @@
 """Shared tabular Q-learning machinery.
 
 Q-tables keyed by discrete state ids, epsilon-greedy action selection with a
-per-episode decay schedule, the one-step Q update, and the ring replay buffer
-used by the deep-Q agent.
+per-episode decay schedule, the one-step Q update, the ring replay buffer
+used by the deep-Q agent, and the run-log row every runner returns.
 """
 
 from __future__ import annotations
@@ -51,6 +51,22 @@ class ExplorationSchedule:
 
     def epsilon(self, episode: int) -> float:
         return max(self.epsilon_min, self.epsilon0 * self.decay**episode)
+
+
+@dataclass(frozen=True)
+class RunRow:
+    """One episode of a run, as the run-log CSV stores it.
+
+    ``steps`` is the episode's length: maze actions, or market ticks to
+    double (-1 if the data ran out first). ``value`` is the market's final
+    portfolio value; maze rows leave it None.
+    """
+
+    seed: int
+    episode: int
+    steps: int
+    reward: float
+    value: float | None = None
 
 
 class Transition(NamedTuple):

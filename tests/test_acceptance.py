@@ -42,8 +42,8 @@ def test_criterion_1_flat_q_matches_bfs():
     t0 = time.monotonic()
     hits = 0
     for seed in range(20):
-        run = run_flat_q(spec, episodes=500, seed=seed)
-        if greedy_path_len(spec, run.table) == oracle:
+        _, table = run_flat_q(spec, episodes=500, seed=seed)
+        if greedy_path_len(spec, table) == oracle:
             hits += 1
     elapsed = time.monotonic() - t0
     print(f"criterion 1: greedy path == BFS {oracle} on {hits}/20 seeds in {elapsed:.1f}s")
@@ -58,10 +58,10 @@ def test_criterion_2_feudal_training_speedup():
         out = []
         for seed in range(20):
             if agent == "flat":
-                recs = run_flat_q(spec, episodes=500, seed=seed).episodes
+                rows, _ = run_flat_q(spec, episodes=500, seed=seed)
             else:
-                recs = run_feudal(spec, episodes=500, seed=seed, goal_mode=agent).episodes
-            out.append(convergence_episode([r.steps for r in recs if r.role == "worker"]))
+                rows, _ = run_feudal(spec, episodes=500, seed=seed, goal_mode=agent)
+            out.append(convergence_episode([r.steps for r in rows]))
         return float(np.median(out))
 
     flat = convergences("flat")
@@ -80,12 +80,12 @@ def test_criterion_3_worker_reward_accounting():
     assert spec.base_reward == -0.00625
     checked = 0
     for seed in (0, 1):
-        for rec in run_flat_q(spec, episodes=40, seed=seed).episodes:
-            if rec.steps < 1000:  # solved before the step cap
+        for row in run_flat_q(spec, episodes=40, seed=seed)[0]:
+            if row.steps < 1000:  # solved before the step cap
                 # L counts the moves charged the base cost; the closing
                 # declaration pays the +1 instead, so L = steps - 1.
-                moves = rec.steps - 1
-                assert abs(rec.reward - (1.0 - moves * 0.00625)) <= 1e-12
+                moves = row.steps - 1
+                assert abs(row.reward - (1.0 - moves * 0.00625)) <= 1e-12
                 checked += 1
     print(f"criterion 3: reward == 1 - L*0.00625 exactly on {checked} solved episodes")
     assert checked > 0
@@ -109,7 +109,7 @@ def test_criterion_4_learning_agents_double_faster():
     for seed in range(20):
         data = synth_gbm(6, 4000, 0.0005, 0.01, seed=seed)
         for agent, runner in MARKET_RUNNERS.items():
-            ticks = runner(MarketEnv(data), seed).records[-1].ticks_to_double
+            ticks = runner(MarketEnv(data), seed)[-1].steps
             finals[agent].append(ticks)
     elapsed = time.monotonic() - t0
 

@@ -438,6 +438,21 @@ def test_cli_market_csv_length_floor(tmp_path, capsys):
     assert "prices_csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("flat,0,1,5,0.5", "expected 6 fields, got 5"),
+        ("flat,0,1,x,0.5,", "invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_cli_report_names_the_file_and_line_of_a_bad_row(row, message, tmp_path, capsys):
+    log = tmp_path / "bad.csv"
+    log.write_text(f"agent,seed,episode,steps,reward,value\nflat,0,0,7,0.9,\n{row}\n")
+    cfg = write_config(tmp_path, f"logs = {log}\nout = {tmp_path / 'r'}\n", name="r.conf")
+    assert main(["report", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {log}:3: {message}\n"
+
+
 def test_cli_report_takes_no_seed(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     argv = ["report", "--config", "configs/report.conf", "--out", str(tmp_path), "--seed", "7"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hrl_lab.maze.agents import (
-    EpisodeRecord,
     default_params,
     greedy_path_len,
     run_feudal,
@@ -12,7 +11,7 @@ from hrl_lab.maze.agents import (
     run_instruction,
 )
 from hrl_lab.maze.env import MazeAction, build_levels, load_maze, make_maze, shortest_path_len
-from hrl_lab.rl_core import ExplorationSchedule, QTable
+from hrl_lab.rl_core import ExplorationSchedule, QTable, RunRow
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "maze4x4.txt"
 
@@ -23,12 +22,10 @@ def fixture_maze():
     return load_maze(FIXTURE)
 
 
-def assert_exact_accounting(records):
+def assert_exact_accounting(rows):
     """Every logged worker episode is either solved (1 - (steps-1)*base) or
     capped out (-steps*base), bit-exactly."""
-    for r in records:
-        if r.role != "worker":
-            continue
+    for r in rows:
         solved = 1.0 - (r.steps - 1) * BASE
         capped = -r.steps * BASE
         assert abs(r.reward - solved) < 1e-12 or abs(r.reward - capped) < 1e-12, (
@@ -39,30 +36,33 @@ def assert_exact_accounting(records):
 
 def test_flat_reaches_bfs_optimum_on_fixture():
     spec = fixture_maze()
-    run = run_flat_q(spec, episodes=500, seed=7)
-    assert greedy_path_len(spec, run.table) == shortest_path_len(spec) == 6
+    _, table = run_flat_q(spec, episodes=500, seed=7)
+    assert greedy_path_len(spec, table) == shortest_path_len(spec) == 6
 
 
 def test_flat_single_episode_log():
-    run = run_flat_q(make_maze(4, 4), episodes=1, seed=0)
-    assert len(run.episodes) == 1
-    assert run.episodes[0].episode == 0
-    assert run.episodes[0].steps >= 1
+    rows, _ = run_flat_q(make_maze(4, 4), episodes=1, seed=0)
+    assert len(rows) == 1
+    assert rows[0].episode == 0
+    assert rows[0].steps >= 1
 
 
 def test_flat_zero_epsilon_is_deterministic():
     spec = fixture_maze()
     sched = ExplorationSchedule(epsilon0=0.0, decay=0.5, epsilon_min=0.0)
-    a = run_flat_q(spec, schedule=sched, episodes=40, seed=1)
-    b = run_flat_q(spec, schedule=sched, episodes=40, seed=2)
-    assert a.episodes == b.episodes
+    a, _ = run_flat_q(spec, schedule=sched, episodes=40, seed=1)
+    b, _ = run_flat_q(spec, schedule=sched, episodes=40, seed=2)
+    # rows carry their seed, so compare what the runs did, not whose they are
+    assert [(r.episode, r.steps, r.reward, r.value) for r in a] == [
+        (r.episode, r.steps, r.reward, r.value) for r in b
+    ]
 
 
 def test_flat_reward_accounting_exact():
-    run = run_flat_q(fixture_maze(), episodes=200, seed=3)
-    assert_exact_accounting(run.episodes)
-    assert all(r.reward <= 1.0 for r in run.episodes)
-    assert all(r.steps >= 1 for r in run.episodes)
+    rows, _ = run_flat_q(fixture_maze(), episodes=200, seed=3)
+    assert_exact_accounting(rows)
+    assert all(r.reward <= 1.0 for r in rows)
+    assert all(r.steps >= 1 for r in rows)
 
 
 def test_flat_rejects_zero_episodes():
@@ -73,12 +73,10 @@ def test_flat_rejects_zero_episodes():
 @pytest.mark.parametrize("mode", ["quadrant", "direction"])
 def test_feudal_learns_and_logs_both_roles(mode):
     spec = fixture_maze()
-    run = run_feudal(spec, episodes=300, seed=5, goal_mode=mode)
-    workers = [r for r in run.episodes if r.role == "worker"]
-    managers = [r for r in run.episodes if r.role == "manager"]
+    workers, managers = run_feudal(spec, episodes=300, seed=5, goal_mode=mode)
     assert len(workers) == len(managers) == 300
-    assert_exact_accounting(run.episodes)
-    assert all(r.reward <= 1.0 for r in run.episodes)
+    assert_exact_accounting(workers)
+    assert all(r.reward <= 1.0 for r in workers + managers)
     # solved near-optimally by the end
     final = np.mean([r.steps for r in workers[-10:]])
     assert final <= 2 * (shortest_path_len(spec) + 1)
@@ -88,11 +86,10 @@ def test_feudal_learns_and_logs_both_roles(mode):
 def test_feudal_temporal_abstraction_of_reward():
     # the worker sees strictly more reward events than the manager
     for seed in range(6):
-        run = run_feudal(fixture_maze(), episodes=60, seed=seed)
-        workers = {r.episode: r for r in run.episodes if r.role == "worker"}
-        managers = {r.episode: r for r in run.episodes if r.role == "manager"}
-        for ep, w in workers.items():
-            assert w.steps > managers[ep].steps, f"seed {seed} episode {ep}"
+        workers, managers = run_feudal(fixture_maze(), episodes=60, seed=seed)
+        for w, m in zip(workers, managers, strict=True):
+            assert w.episode == m.episode
+            assert w.steps > m.steps, f"seed {seed} episode {w.episode}"
 
 
 def test_feudal_rejects_bad_args():
@@ -181,6 +178,20 @@ def test_instruction_budget_guard():
 
 
 def test_episode_records_are_plain_and_comparable():
-    a = EpisodeRecord(0, 7, 1 - 6 * BASE, "worker")
-    b = EpisodeRecord(0, 7, 1 - 6 * BASE, "worker")
+    a = RunRow(0, 0, 7, 1 - 6 * BASE)
+    b = RunRow(0, 0, 7, 1 - 6 * BASE)
     assert a == b
+    assert a.value is None
+    assert a != RunRow(1, 0, 7, 1 - 6 * BASE)  # the seed is part of the row
+
+
+def test_every_runner_returns_seed_stamped_rows():
+    spec = fixture_maze()
+    flat, table = run_flat_q(spec, episodes=4, seed=9)
+    assert isinstance(table, QTable)
+    workers, managers = run_feudal(spec, episodes=4, seed=9)
+    for rows in (flat, workers, managers):
+        assert [type(r) for r in rows] == [RunRow] * 4
+        assert [r.seed for r in rows] == [9] * 4
+        assert [r.episode for r in rows] == [0, 1, 2, 3]
+        assert all(r.value is None for r in rows)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hrl_lab
 from hrl_lab.rl_core import (
     ExplorationSchedule,
     LearningParams,
@@ -156,3 +162,16 @@ def test_replay_guards():
         ReplayBuffer(0)
     with pytest.raises(IndexError):
         ReplayBuffer(1).sample(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("module", ["hrl_lab.market_agents", "hrl_lab.maze.agents"])
+def test_agent_modules_import_first_in_a_fresh_interpreter(module):
+    """The agents take RunRow from rl_core: importing it from the harness,
+    whose package imports the agents, would be a cycle."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hrl_lab.__file__).resolve().parent.parent)}
+    code = (
+        f"import {module}, hrl_lab.harness\n"
+        f"assert hrl_lab.harness.RunRow is hrl_lab.harness.runlog.RunRow is {module}.RunRow"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
