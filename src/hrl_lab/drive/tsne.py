@@ -13,6 +13,7 @@ import numpy as np
 P_FLOOR = 1e-12
 CALIBRATION_TOL = 1e-5
 CALIBRATION_MAX_ITERS = 50
+EXP_ZERO_BELOW = -746.0  # exp(x) rounds to 0.0 for every double x below this
 # The optimiser schedule of van der Maaten & Hinton (2008): step size,
 # momentum 0.5 then 0.8 from update 250 on, and P times 4 for the first
 # 100 updates. The embedding is always 2-D, as the CSV writers expect.
@@ -104,7 +105,11 @@ def _calibrate_rows(d: np.ndarray, perplexity: float) -> np.ndarray:
 
 def _gaussian_rows(shifted: np.ndarray, beta: np.ndarray, out=None) -> np.ndarray:
     rows = np.multiply(shifted, -beta[:, None], out=out)
-    np.exp(rows, out=rows)
+    # exp(x) is 0.0 for every x below -746, and numpy's exp is slow on such
+    # lanes, so they are set to 0.0 without it.
+    dead = rows < EXP_ZERO_BELOW
+    np.exp(rows, out=rows, where=~dead)
+    np.copyto(rows, 0.0, where=dead)
     # Each row holds an exp(0) = 1, so no row sum is zero.
     rows /= rows.sum(axis=1)[:, None]
     return rows

@@ -19,6 +19,7 @@ reset.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,7 +141,7 @@ def _per_symbol_gain(env: MarketEnv, t: int, sym: str) -> float:
 
 def _next_row(
     table: QTable, data: MarketData, sym: str, t: int, shares: dict[str, int], done: bool
-) -> np.ndarray | None:
+) -> list[float] | None:
     """The worker's Q row for its state at tick t, or None once the episode
     is over (terminal updates drop the bootstrap term)."""
     if done:
@@ -308,7 +309,14 @@ def dqn_inputs(data: MarketData) -> np.ndarray:
     """
     n, length = len(data.symbols), len(data)
     scaled = np.stack([data.opens[sym] / data.price(sym, 0) for sym in data.symbols])
-    xs = np.zeros((length, n, 4 * n))
+    # The array (4.4 MiB at 6 symbols x 4000 ticks) gets its own anonymous
+    # mapping, zero-filled and handed back to the OS when the array dies.
+    # From malloc, a run's array went on the heap once an earlier run's had
+    # been freed, and whether the next run reused that block depended on
+    # the order of unrelated frees: the market benchmark's peak RSS read
+    # 47.2 or 51.5 MB.
+    size = length * n * 4 * n * np.dtype(float).itemsize
+    xs = np.frombuffer(mmap.mmap(-1, size), dtype=float).reshape(length, n, 4 * n)
     for k in range(3):
         # column 3*j + k holds symbol j's open at t - 3 + k
         xs[3:, :, k : 3 * n : 3] = scaled[:, k : length - 3 + k].T[:, None, :]
@@ -327,11 +335,6 @@ def run_dqn(
     window plus the acting symbol's one-hot, output is Q over the three
     actions. Each tick pushes one transition per symbol and trains on
     train_steps uniformly sampled replay transitions."""
-    # The input array (4.4 MiB at 6 symbols x 4000 ticks) is owned by this
-    # frame, so it is freed last: the player's network, Adam moments and
-    # replay buffer die when _episodes returns. Freed before them, its heap
-    # block was often not reused by the next run's array, and the
-    # benchmark's market peak RSS read 51.5 MB instead of 47.2.
     inputs = dqn_inputs(env.data)
     return _episodes(
         env, seed, episodes,

@@ -13,19 +13,19 @@ bonus never reaches the logs, so a solved episode's logged reward is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from hrl_lab.maze.env import MazeAction, MazeLevel, MazeSpec, _DELTA, build_levels, step
+from hrl_lab.maze.env import Cell, MazeAction, MazeLevel, MazeSpec, _DELTA, build_levels, step
 from hrl_lab.rl_core import (
     ExplorationSchedule,
     LearningParams,
     QTable,
     RunRow,
-    Transition,
-    q_update,
+    epsilon_greedy,
     select_action,
+    update_row,
 )
 
 
@@ -69,21 +69,25 @@ def run_flat_q(
     schedule = schedule or flat_schedule()
     rng = np.random.default_rng(seed)
     table = QTable(len(MazeAction), states=spec.cells())
+    q_rows = table.rows
     rows = []
     for ep in range(episodes):
         eps = schedule.epsilon(ep)
         cell = spec.start
+        row = q_rows[cell]
         total = 0.0
         steps = 0
         for _ in range(step_cap):
-            a = select_action(table, cell, eps, rng)
-            out = step(spec, cell, MazeAction(a))
+            a = epsilon_greedy(row, eps, rng)
+            out = step(spec, cell, a)
             steps += 1
             total += out.reward
-            q_update(table, params, Transition(cell, a, out.reward, out.cell, out.done))
             cell = out.cell
+            next_row = None if out.done else q_rows[cell]
+            update_row(row, a, out.reward, next_row, params)
             if out.done:
                 break
+            row = next_row
         rows.append(RunRow(seed, ep, steps, total))
     return rows, table
 
@@ -98,11 +102,11 @@ def greedy_path_len(spec: MazeSpec, table: QTable) -> int | None:
         if a == MazeAction.DECLARE:
             return moves if cell == spec.goal else None
         moves += 1
-        cell = step(spec, cell, MazeAction(a)).cell
+        cell = step(spec, cell, a).cell
     return None
 
 
-def _clipped_neighbor(q: tuple[int, int], action: MazeAction, spec: MazeSpec):
+def _clipped_neighbor(q: Cell, action: MazeAction, spec: MazeSpec) -> Cell:
     dx, dy = _DELTA[action]
     return (
         min(max(q[0] + dx, 0), spec.x_dim - 1),
@@ -110,9 +114,12 @@ def _clipped_neighbor(q: tuple[int, int], action: MazeAction, spec: MazeSpec):
     )
 
 
-@dataclass(frozen=True)
-class InstructionOutcome:
-    cell: tuple[int, int]
+class InstructionOutcome(NamedTuple):
+    """Where a worker burst ended, its fine steps and environment reward,
+    and whether the episode is over. A named tuple: every manager decision
+    builds one, and a tuple is cheaper to construct than a frozen dataclass."""
+
+    cell: Cell
     fine_steps: int
     env_reward: float
     done: bool
@@ -123,15 +130,16 @@ def run_instruction(
     coarse: MazeLevel,
     worker: QTable,
     params: LearningParams,
-    cell: tuple[int, int],
+    cell: Cell,
     goal: tuple,
-    commanded: tuple[int, int],
+    commanded: Cell,
     epsilon: float,
     rng: np.random.Generator | None,
     budget: int,
 ) -> InstructionOutcome:
     """Let the worker act until the instruction resolves.
 
+    ``worker`` is the worker's table for this goal, keyed by fine cell.
     A "goto" that is already satisfied consumes nothing and hands control
     straight back. A "dir" ends on the first quadrant transition, a "goto"
     on entering its target, a "search" on leaving its quadrant; all three
@@ -140,40 +148,58 @@ def run_instruction(
     learning signal and the final transition of the burst treated as
     terminal so value does not leak across instructions.
     """
-    if goal[0] == "goto" and coarse.map_cell(cell) == goal[1]:
+    cell_of = coarse.cell_of
+    kind, target = goal
+    q0 = cell_of[cell]
+    if kind == "goto" and q0 == target:
         return InstructionOutcome(cell, 0, 0.0, False)
     if budget < 1:
         raise ValueError(f"instruction budget must be >= 1, got {budget}")
-    q0 = coarse.map_cell(cell)
+    q_rows = worker.rows
+    row = q_rows[cell]
     fine_steps = 0
     env_reward = 0.0
     while True:
-        wstate = (cell, goal)
-        wa = select_action(worker, wstate, epsilon, rng)
-        out = step(spec, cell, MazeAction(wa))
+        a = epsilon_greedy(row, epsilon, rng)
+        out = step(spec, cell, a)
         fine_steps += 1
         env_reward += out.reward
         budget -= 1
-        new_q = coarse.map_cell(out.cell)
-        if goal[0] == "dir":
+        cell = out.cell
+        new_q = cell_of[cell]
+        if kind == "dir":
             instruction_met = new_q != q0
             achieved = instruction_met and new_q == commanded
-        elif goal[0] == "goto":
-            instruction_met = new_q == goal[1]
-            achieved = instruction_met
+        elif kind == "goto":
+            instruction_met = achieved = new_q == target
         else:
-            instruction_met = new_q != goal[1]
+            instruction_met = new_q != target
             achieved = False
         burst_over = out.done or instruction_met or budget <= 0
         bonus = OBEDIENCE_BONUS if achieved else 0.0
-        q_update(
-            worker,
-            params,
-            Transition(wstate, wa, out.reward + bonus, (out.cell, goal), burst_over),
-        )
-        cell = out.cell
+        next_row = None if burst_over else q_rows[cell]
+        update_row(row, a, out.reward + bonus, next_row, params)
         if burst_over:
             return InstructionOutcome(cell, fine_steps, env_reward, out.done)
+        row = next_row
+
+
+def _instructions(coarse: MazeSpec, goal_mode: str) -> dict[Cell, list[tuple[tuple, Cell]]]:
+    """For each quadrant, the (goal, commanded quadrant) of each manager
+    action. A move becomes "go to that quadrant" in quadrant mode and "make
+    one quadrant transition that way" in direction mode; Declare becomes
+    "search the current quadrant"."""
+    plans = {}
+    for q in coarse.cells():
+        plans[q] = []
+        for ma in MazeAction:
+            if ma == MazeAction.DECLARE:
+                plans[q].append((("search", q), q))
+                continue
+            commanded = _clipped_neighbor(q, ma, coarse)
+            goal = ("dir", int(ma)) if goal_mode == "direction" else ("goto", commanded)
+            plans[q].append((goal, commanded))
+    return plans
 
 
 def run_feudal(
@@ -187,11 +213,10 @@ def run_feudal(
 ) -> tuple[list[RunRow], list[RunRow]]:
     """Two-level training run.
 
-    The manager picks among the five actions on the coarse level. A move
-    becomes an instruction: in quadrant mode "go to that quadrant", in
-    direction mode "make one quadrant transition that way". Declare becomes
-    "search the current quadrant". Each instruction hands control to the
-    worker for a bounded burst of fine steps.
+    The manager picks among the five actions on the coarse level, and each
+    pick becomes an instruction (see ``_instructions``) that hands control
+    to the worker for a bounded burst of fine steps. The worker keeps one
+    table per goal, keyed by fine cell.
 
     Returns the worker's rows (fine steps, environment reward) and the
     manager's rows (decisions, manager reward), one per episode each.
@@ -206,43 +231,38 @@ def run_feudal(
     if len(levels) < 2:
         raise ValueError("maze too small to support a manager level")
     coarse = levels[1]
+    cell_of = coarse.cell_of
+    base = coarse.spec.base_reward
     budget0 = WORKER_BUDGET_PER_SIDE * (spec.x_dim + spec.y_dim)
     rng = np.random.default_rng(seed)
 
-    quadrants = coarse.spec.cells()
-    goals = [("dir", int(d)) for d in range(4)]
-    goals += [("goto", q) for q in quadrants]
-    goals += [("search", q) for q in quadrants]
-    worker = QTable(len(MazeAction), states=[(c, g) for c in spec.cells() for g in goals])
-    manager = QTable(len(MazeAction), states=quadrants)
+    plans = _instructions(coarse.spec, goal_mode)
+    workers = {
+        goal: QTable(len(MazeAction), states=spec.cells())
+        for plan in plans.values()
+        for goal, _ in plan
+    }
+    m_rows = QTable(len(MazeAction), states=coarse.spec.cells()).rows
 
     worker_rows, manager_rows = [], []
     for ep in range(episodes):
         eps = schedule.epsilon(ep)
         cell = spec.start
+        q0 = cell_of[cell]
+        m_row = m_rows[q0]
         done = False
         fine_steps = 0
         env_reward = 0.0
         mgr_reward = 0.0
         decisions = 0
         while not done and fine_steps < step_cap and decisions < step_cap:
-            q0 = coarse.map_cell(cell)
-            ma = select_action(manager, q0, eps, rng)
+            ma = epsilon_greedy(m_row, eps, rng)
             decisions += 1
-            if ma == MazeAction.DECLARE:
-                goal = ("search", q0)
-                commanded = q0
-            elif goal_mode == "direction":
-                goal = ("dir", int(ma))
-                commanded = _clipped_neighbor(q0, MazeAction(ma), coarse.spec)
-            else:
-                commanded = _clipped_neighbor(q0, MazeAction(ma), coarse.spec)
-                goal = ("goto", commanded)
-
+            goal, commanded = plans[q0][ma]
             outcome = run_instruction(
                 spec,
                 coarse,
-                worker,
+                workers[goal],
                 params,
                 cell,
                 goal,
@@ -256,12 +276,14 @@ def run_feudal(
             env_reward += outcome.env_reward
             done = outcome.done
 
-            q1 = coarse.map_cell(cell)
-            mr = coarse.spec.base_reward
+            q1 = cell_of[cell]
+            mr = base
             if done:
                 mr += 1.0 if q1 == commanded else -DISOBEDIENCE_PENALTY
             mgr_reward += mr
-            q_update(manager, params, Transition(q0, ma, mr, q1, done))
+            next_row = None if done else m_rows[q1]
+            update_row(m_row, ma, mr, next_row, params)
+            q0, m_row = q1, next_row
         worker_rows.append(RunRow(seed, ep, fine_steps, env_reward))
         manager_rows.append(RunRow(seed, ep, decisions, mgr_reward))
     return worker_rows, manager_rows

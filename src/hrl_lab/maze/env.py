@@ -8,7 +8,7 @@ from bit 0) followed by ``start=x,y`` and ``goal=x,y`` lines.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -39,17 +39,35 @@ _OPPOSITE = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
+class StepOutcome:
+    cell: Cell
+    reward: float
+    done: bool
+
+
+@dataclass(frozen=True)
 class MazeSpec:
-    """A rectangular maze: open_flags[x, y, d] says direction d is passable."""
+    """A rectangular maze: open_flags[x, y, d] says direction d is passable.
+
+    The spec is immutable: its flags are a read-only copy, and the
+    ``StepOutcome`` of every (cell, action) is built once, at construction,
+    for ``step`` to look up.
+    """
 
     x_dim: int
     y_dim: int
     open_flags: np.ndarray
     start: Cell
     goal: Cell
+    outcomes: dict[Cell, tuple[StepOutcome, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        flags = self.open_flags.copy()
+        flags.setflags(write=False)
+        object.__setattr__(self, "open_flags", flags)
         if self.x_dim < 1 or self.y_dim < 1:
             raise ValueError(f"bad dimensions {self.x_dim}x{self.y_dim}")
         if self.open_flags.shape != (self.x_dim, self.y_dim, 4):
@@ -75,6 +93,11 @@ class MazeSpec:
                         raise ValueError(f"asymmetric wall at {(x, y)} direction {d.name}")
         if shortest_path_len(self) is None:
             raise ValueError(f"goal {self.goal} unreachable from start {self.start}")
+        outcomes = {
+            cell: tuple(_outcome(self, cell, a) for a in MazeAction)
+            for cell in self.cells()
+        }
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def base_reward(self) -> float:
@@ -97,18 +120,21 @@ class MazeSpec:
         return out
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    cell: Cell
-    reward: float
-    done: bool
-
-
-def step(spec: MazeSpec, cell: Cell, action: MazeAction) -> StepOutcome:
-    """One action. Moves into closed walls stay put but still pay the base
-    cost; Declare pays nothing and ends the episode only on the goal cell."""
-    if not spec.in_bounds(cell):
+def step(spec: MazeSpec, cell: Cell, action: int) -> StepOutcome:
+    """One action, looked up in the spec's table of outcomes. An action
+    outside 0-4 raises IndexError."""
+    outcomes = spec.outcomes.get(cell)
+    if outcomes is None:
         raise ValueError(f"cell {cell} out of bounds")
+    if action < 0:
+        raise IndexError(f"action {action} out of range")
+    return outcomes[action]
+
+
+def _outcome(spec: MazeSpec, cell: Cell, action: MazeAction) -> StepOutcome:
+    """The step rule. Moves into closed walls stay put but still pay the base
+    cost; Declare pays 1 and ends the episode on the goal cell, and pays the
+    base cost anywhere else."""
     if action == MazeAction.DECLARE:
         if cell == spec.goal:
             return StepOutcome(cell, 1.0, True)
@@ -162,15 +188,29 @@ def shortest_path_len(spec: MazeSpec, start: Cell | None = None) -> int | None:
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MazeLevel:
-    """One resolution of the hierarchy; factor maps fine cells to this level."""
+    """One resolution of the hierarchy; factor maps fine cells to this level.
+
+    ``cell_of`` holds that map for every cell of the finest maze, whose
+    sides are this level's times the factor.
+    """
 
     spec: MazeSpec
     factor: int
+    cell_of: dict[Cell, Cell] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        f = self.factor
+        cell_of = {
+            (x, y): (x // f, y // f)
+            for x in range(self.spec.x_dim * f)
+            for y in range(self.spec.y_dim * f)
+        }
+        object.__setattr__(self, "cell_of", cell_of)
 
     def map_cell(self, fine_cell: Cell) -> Cell:
-        return (fine_cell[0] // self.factor, fine_cell[1] // self.factor)
+        return self.cell_of[fine_cell]
 
 
 def _coarsen(spec: MazeSpec) -> MazeSpec:

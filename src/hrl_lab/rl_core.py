@@ -84,7 +84,8 @@ class Transition(NamedTuple):
 
 
 class QTable:
-    """Action-value rows keyed by discrete state id, zero-initialised.
+    """Action-value rows keyed by discrete state id, zero-initialised. A row
+    is a list of Python floats, one per action.
 
     With ``states`` given the table is strict: touching any other state raises
     UnknownStateError. Without it the table grows lazily, creating a zero row
@@ -96,10 +97,10 @@ class QTable:
             raise ValueError(f"n_actions must be >= 1, got {n_actions}")
         self.n_actions = n_actions
         self._lazy = states is None
-        self.rows: dict[Hashable, np.ndarray] = {}
+        self.rows: dict[Hashable, list[float]] = {}
         if states is not None:
             for s in states:
-                self.rows[s] = np.zeros(n_actions)
+                self.rows[s] = [0.0] * n_actions
 
     def __contains__(self, state: Hashable) -> bool:
         return state in self.rows
@@ -107,12 +108,12 @@ class QTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row(self, state: Hashable) -> np.ndarray:
+    def row(self, state: Hashable) -> list[float]:
         r = self.rows.get(state)
         if r is None:
             if not self._lazy:
                 raise UnknownStateError(state)
-            r = self.rows[state] = np.zeros(self.n_actions)
+            r = self.rows[state] = [0.0] * self.n_actions
         return r
 
 
@@ -131,21 +132,19 @@ def q_update(table: QTable, params: LearningParams, t: Transition) -> float:
 
 
 def update_row(
-    row0: np.ndarray,
+    row0: list[float],
     a: int,
     r: float,
-    next_row: np.ndarray | None,
+    next_row: list[float] | None,
     params: LearningParams,
 ) -> float:
     """The q_update rule on rows already looked up, without its checks.
 
     ``next_row`` is None for a terminal transition. Hot loops that fetch the
-    rows themselves call this directly. The max runs over the row as Python
-    floats: for the finite values the update writes it equals the numpy max,
-    without the per-call numpy overhead on a few-element row.
+    rows themselves call this directly.
     """
-    target = r if next_row is None else r + params.gamma * max(next_row.tolist())
-    q = float(row0[a])
+    target = r if next_row is None else r + params.gamma * max(next_row)
+    q = row0[a]
     q += params.alpha * (target - q)
     row0[a] = q
     return q
@@ -163,12 +162,13 @@ def select_action(
 
 
 def epsilon_greedy(
-    row: np.ndarray, epsilon: float, rng: np.random.Generator | None = None
+    row: list[float], epsilon: float, rng: np.random.Generator | None = None
 ) -> int:
-    """select_action on a row already looked up."""
+    """select_action on a row already looked up. The greedy pick is the
+    first maximum, numpy argmax's tie rule."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(row)))
-    return int(row.argmax())
+    return row.index(max(row))
 
 
 class ReplayBuffer:

@@ -155,7 +155,7 @@ def test_run_masked_span_all_skip_forces_hold():
     assert reward == pytest.approx(res.total_value - v0, abs=1e-9)
     for table in workers.values():
         for state in range(4):
-            assert np.all(table.row(state) == 0.0)
+            assert table.row(state) == [0.0, 0.0, 0.0]
 
 
 def test_run_masked_span_only_masked_sector_acts():
@@ -167,9 +167,9 @@ def test_run_masked_span_only_masked_sector_acts():
     run_masked_span(env, workers, mask, 5, 0.0, None, LearningParams(alpha=0.5, gamma=0.0))
     assert env.portfolio.shares["SYM0"] > 0  # zero-init greedy tie-break is Buy
     assert env.portfolio.shares["SYM1"] == 0
-    assert np.any(workers["SYM0"].row(1) != 0.0)
+    assert np.any(np.asarray(workers["SYM0"].row(1)) != 0.0)
     for state in range(4):
-        assert np.all(workers["SYM1"].row(state) == 0.0)
+        assert np.all(np.asarray(workers["SYM1"].row(state)) == 0.0)
 
 
 def test_counts_single_worker_matches_tabular():
@@ -239,6 +239,9 @@ def test_dqn_inputs_stack_encoded_windows_and_onehots():
     data = synth_gbm(3, 12, drift=0.001, volatility=0.02, seed=2)
     xs = dqn_inputs(data)
     assert xs.shape == (12, 3, 12)
+    for t in range(3):  # no price window yet: zeros, then the one-hot
+        want = np.hstack([np.zeros((3, 9)), np.eye(3)])
+        assert xs[t].tobytes() == want.tobytes(), t
     for t in range(3, 12):
         want = np.hstack([np.tile(dqn_encode_state(data, t), (3, 1)), np.eye(3)])
         assert xs[t].tobytes() == want.tobytes(), t

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hrl_lab.maze import agents
 from hrl_lab.maze.agents import (
     default_params,
     greedy_path_len,
@@ -107,12 +108,10 @@ def test_greedy_path_none_for_blank_table():
 
 
 def instruction_env():
+    """A 4x4 maze, its quadrant level, and a blank worker table for one goal."""
     spec = make_maze(4, 4)
     coarse = build_levels(spec, 2)[1]
-    goals = [("dir", int(d)) for d in range(4)]
-    goals += [("goto", q) for q in coarse.spec.cells()]
-    goals += [("search", q) for q in coarse.spec.cells()]
-    worker = QTable(5, states=[(c, g) for c in spec.cells() for g in goals])
+    worker = QTable(5, states=spec.cells())
     return spec, coarse, worker
 
 
@@ -125,13 +124,13 @@ def test_instruction_goto_already_satisfied_is_free():
     assert out.fine_steps == 0
     assert out.cell == (1, 1)
     assert not out.done
-    assert all(np.all(row == 0) for row in worker.rows.values())
+    assert all(row == [0.0] * 5 for row in worker.rows.values())
 
 
 def test_instruction_direction_stops_on_first_transition():
     spec, coarse, worker = instruction_env()
     # walking south from (0,1) crosses into quadrant (0,1) in one step
-    worker.rows[((0, 1), ("dir", int(MazeAction.SOUTH)))][MazeAction.SOUTH] = 1.0
+    worker.rows[(0, 1)][MazeAction.SOUTH] = 1.0
     out = run_instruction(
         spec, coarse, worker, default_params(), (0, 1),
         ("dir", int(MazeAction.SOUTH)), (0, 1),
@@ -145,8 +144,8 @@ def test_instruction_search_ends_when_leaving_quadrant():
     spec, coarse, worker = instruction_env()
     # from (1,0), greedy-zero ties walk north (blocked), so force east twice
     for cell in [(1, 0), (1, 1)]:
-        worker.rows[(cell, ("search", (0, 0)))][MazeAction.EAST] = 1.0
-    worker.rows[((1, 0), ("search", (0, 0)))][MazeAction.EAST] = 1.0
+        worker.rows[cell][MazeAction.EAST] = 1.0
+    worker.rows[(1, 0)][MazeAction.EAST] = 1.0
     out = run_instruction(
         spec, coarse, worker, default_params(), (1, 0), ("search", (0, 0)), (0, 0),
         epsilon=0.0, rng=None, budget=16,
@@ -175,6 +174,35 @@ def test_instruction_budget_guard():
             ("dir", int(MazeAction.SOUTH)), (0, 1),
             epsilon=0.0, rng=None, budget=0,
         )
+
+
+@pytest.mark.parametrize("runner", ["flat", "quadrant", "direction"])
+def test_one_env_step_per_logged_step(monkeypatch, runner):
+    """Each logged step is one call of the module's ``step``, and every
+    worker burst goes through ``run_instruction``: the benchmark's traced
+    run counts both names against the run logs."""
+    counts = {"step": 0, "burst_steps": 0}
+    real_step, real_burst = agents.step, agents.run_instruction
+
+    def counted_step(*args, **kwargs):
+        counts["step"] += 1
+        return real_step(*args, **kwargs)
+
+    def counted_burst(*args, **kwargs):
+        out = real_burst(*args, **kwargs)
+        counts["burst_steps"] += out.fine_steps
+        return out
+
+    monkeypatch.setattr(agents, "step", counted_step)
+    monkeypatch.setattr(agents, "run_instruction", counted_burst)
+    spec = fixture_maze()
+    if runner == "flat":
+        rows, _ = run_flat_q(spec, episodes=30, seed=2)
+        assert counts["burst_steps"] == 0
+    else:
+        rows, _ = run_feudal(spec, episodes=30, seed=2, goal_mode=runner)
+        assert counts["burst_steps"] == sum(r.steps for r in rows)
+    assert counts["step"] == sum(r.steps for r in rows) > 0
 
 
 def test_episode_records_are_plain_and_comparable():

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hrl_lab.maze.env import (
     MazeAction,
+    MazeSpec,
     build_levels,
     dump_maze,
     load_maze,
@@ -74,6 +76,9 @@ def test_coarse_level_base_cost():
 def test_step_rejects_out_of_bounds():
     with pytest.raises(ValueError):
         step(open_4x4(), (4, 0), MazeAction.NORTH)
+    for action in (-1, len(MazeAction)):
+        with pytest.raises(IndexError):
+            step(open_4x4(), (1, 1), action)
 
 
 def test_open_maze_coarse_level_fully_open():
@@ -110,6 +115,24 @@ def test_level_cell_mapping():
     level = build_levels(open_4x4(), 2)[1]
     assert level.map_cell((0, 0)) == (0, 0)
     assert level.map_cell((3, 2)) == (1, 1)
+
+
+def test_spec_and_levels_are_read_only():
+    flags = make_maze(4, 4).open_flags.copy()
+    spec = MazeSpec(4, 4, flags, (0, 0), (3, 3))
+    with pytest.raises(ValueError):
+        spec.open_flags[1, 1, MazeAction.EAST] = False
+    with pytest.raises(FrozenInstanceError):
+        spec.goal = (0, 0)
+    # the spec holds its own copy: the caller's array stays writable, and
+    # writing it leaves the spec and its step table as they were
+    flags[1, 1, MazeAction.EAST] = False
+    assert spec.is_open((1, 1), MazeAction.EAST)
+    assert step(spec, (1, 1), MazeAction.EAST).cell == (2, 1)
+    level = build_levels(spec, 2)[1]
+    with pytest.raises(FrozenInstanceError):
+        level.factor = 4
+    assert sorted(level.cell_of) == sorted(spec.cells())
 
 
 def test_build_levels_guards():

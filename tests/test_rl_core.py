@@ -44,7 +44,7 @@ def test_schedule_decays_to_floor():
 
 def test_strict_table_rejects_unknown_state():
     table = QTable(4, states=["a", "b"])
-    assert table.row("a").shape == (4,)
+    assert table.row("a") == [0.0, 0.0, 0.0, 0.0]
     with pytest.raises(UnknownStateError):
         table.row("c")
 
@@ -53,7 +53,7 @@ def test_lazy_table_vivifies_zero_rows():
     table = QTable(3)
     assert "x" not in table
     row = table.row("x")
-    assert np.all(row == 0.0)
+    assert row == [0.0, 0.0, 0.0]
     assert "x" in table and len(table) == 1
 
 
@@ -62,7 +62,7 @@ def test_terminal_update_ignores_next_state():
     table = QTable(2)
     params = LearningParams(alpha=0.1, gamma=0.95)
     t = Transition(s0="s", a=0, r=1.0, s="t", done=True)
-    table.row("t")[:] = 100.0  # must not leak into the target
+    table.row("t")[:] = [100.0, 100.0]  # must not leak into the target
     assert q_update(table, params, t) == pytest.approx(0.1, abs=1e-15)
     assert q_update(table, params, t) == pytest.approx(0.19, abs=1e-15)
 

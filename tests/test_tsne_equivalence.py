@@ -23,6 +23,7 @@ from hrl_lab.drive.tsne import (
     OUT_DIM,
     P_FLOOR,
     TsneConfig,
+    _gaussian_rows,
     joint_probabilities,
     perplexity_calibration,
     tsne_fit,
@@ -212,6 +213,21 @@ def test_scaled_input_underflows_in_the_first_gaussian():
     d = ref_sq_dists(blobs(50, 4, 6, scale=30.0))
     row = np.delete(d[0], 0)
     assert np.any(np.exp(-(row - row.min())) == 0.0)
+
+
+def test_gaussian_rows_match_plain_exp_bitwise():
+    """Lanes far enough below zero skip exp() and are written as 0.0; the
+    rows must still equal plain exp-and-normalise bit for bit, across the
+    subnormal range where exp() reaches 0."""
+    rng = np.random.default_rng(5)
+    d = np.concatenate([[0.0], np.linspace(700.0, 760.0, 601), rng.uniform(0.0, 900.0, 200)])
+    shifted = np.stack([d, d / 2.0, d * 3.0])
+    beta = np.array([1.0, 2.0, 1.0 / 3.0])
+    plain = np.exp(shifted * -beta[:, None])
+    plain /= plain.sum(axis=1)[:, None]
+    assert np.any(plain == 0.0)
+    assert np.any((plain > 0.0) & (plain < np.finfo(float).tiny))
+    assert same_bits(_gaussian_rows(shifted, beta), plain)
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0, 30.0])
