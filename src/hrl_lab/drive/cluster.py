@@ -153,6 +153,6 @@ def causal_subroutine_id(
         raise ValueError(f"tau must be >= 1, got {tau}")
     if tau > vectors.shape[0]:
         raise ValueError(f"tau={tau} exceeds the {vectors.shape[0]} available windows")
-    emb = tsne_fit(vectors[:tau], config=config, seed=seed)
+    emb = tsne_fit(vectors[:tau], config=config, seeds=(seed,))[0]
     cs = kmeans_fit(emb.coords, k=k, seed=seed)
     return assign_subroutine(cs, tau)

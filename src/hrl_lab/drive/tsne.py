@@ -7,6 +7,7 @@ arithmetic stays auditable against hand-computed cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,10 @@ LEARNING_RATE = 200.0
 MOMENTUM_EARLY, MOMENTUM_LATE, MOMENTUM_SWITCH = 0.5, 0.8, 250
 EXAGGERATION, EXAGGERATION_ITERS = 4.0, 100
 OUT_DIM = 2
+# Seeds of one fit descend together while their stacked n x n work arrays
+# hold at most this many cells each (three arrays of 512 KiB); past that,
+# stacking ran slower than one seed at a time.
+STACK_CELLS = 2**16
 
 
 @dataclass(frozen=True)
@@ -180,15 +185,20 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return float((ps * np.log(ps / qs)).sum())
 
 
-def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> TsneEmbedding:
-    """Embed the rows of x with exact gradient descent on KL(P || Q).
+def tsne_fit(
+    x: np.ndarray, config: TsneConfig | None = None, seeds: Sequence[int] = (0,)
+) -> list[TsneEmbedding]:
+    """Embed the rows of x once per seed with exact gradient descent on KL(P || Q).
 
-    Early exaggeration multiplies P for the first EXAGGERATION_ITERS
-    updates; the KL trace is always scored against the true P, so trace[0]
-    (the random init) and trace[-1] (the final layout) are comparable.
-    The n x n work arrays are allocated once per fit and every update
-    writes into them; each value is the one that `kl_divergence` and the
-    textbook formulas give on fresh arrays, bit for bit.
+    Returns one embedding per seed, in order; each starts from
+    `default_rng(seed)`. Early exaggeration multiplies P for the first
+    EXAGGERATION_ITERS updates; the KL trace is always scored against the
+    true P, so trace[0] (the random init) and trace[-1] (the final layout)
+    are comparable. P is computed once and shared, read-only, by every
+    embedding. Consecutive seeds descend together in stacked work arrays of
+    at most STACK_CELLS cells; every value is the one that `kl_divergence`
+    and the textbook formulas give for that seed alone on fresh arrays, bit
+    for bit.
     """
     config = config or TsneConfig()
     x = np.asarray(x, dtype=float)
@@ -203,8 +213,26 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
         )
 
     p = joint_probabilities(x, config.perplexity)
-    rng = np.random.default_rng(seed)
-    y = 1e-4 * rng.standard_normal((n, OUT_DIM))
+    p.flags.writeable = False
+    seeds = list(seeds)
+    per_group = max(1, STACK_CELLS // (n * n))
+    return [
+        emb
+        for at in range(0, len(seeds), per_group)
+        for emb in _descend(p, seeds[at : at + per_group], config.iterations)
+    ]
+
+
+def _descend(p: np.ndarray, seeds: list[int], iterations: int) -> list[TsneEmbedding]:
+    """Run the optimiser for each seed on P, stacked along a leading axis.
+
+    Every operation acts on each (n, n) or (n, 2) slice as the one-seed
+    loop would: products are per-slice matmuls, and every sum runs along
+    one slice's own axis, in that slice's order.
+    """
+    b, n = len(seeds), p.shape[0]
+    y = np.stack([np.random.default_rng(s).standard_normal((n, OUT_DIM)) for s in seeds])
+    y *= 1e-4
     velocity = np.zeros_like(y)
     # Per-coordinate step-size gains, as in the reference implementation
     # the lr=200 convention comes from; without them that rate diverges.
@@ -212,52 +240,64 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
 
     # P_FLOOR keeps every off-diagonal p positive, so P's support is the
     # whole off-diagonal and KL only needs its entries, in row-major order.
-    ps = _off_diagonal(p).ravel()
-    num, q, pq = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
+    # P and its off-diagonal get a leading axis of one: with B = 1 every
+    # operand then has the same shape, which numpy runs without broadcasting.
+    ps, p_stack = _off_diagonal(p).ravel()[None], p[None]
+    num, q, pq = np.empty((b, n, n)), np.empty((b, n, n)), np.empty((b, n, n))
     num_diag, q_diag, pq_diag = (_diagonal(a) for a in (num, q, pq))
-    # The KL terms borrow pq's first n(n-1) entries: KL is scored after the
-    # gradient step has used pq and before the next one refills it.
-    terms = pq.reshape(-1)[: ps.size]
-    q_off, terms_block = _off_diagonal(q), terms.reshape(n - 1, n)
+    # The KL terms borrow pq's first n(n-1) entries of each slice: KL is
+    # scored after the gradient step has used pq and before the next one
+    # refills it.
+    terms = pq.reshape(b, -1)[:, : ps.size]
+    q_off, terms_block = _off_diagonal(q), terms.reshape(b, n - 1, n)
+    num_flat, num_sums = num.reshape(b, -1), np.empty((b, 1, 1))
+    num_sums_flat = num_sums.reshape(b)
+    y_sq, sq = np.empty_like(y), np.empty((b, n))
+    sq_col, sq_row = sq[:, :, None], sq[:, None, :]
+    kl_trace = np.empty((iterations + 1, b))
+    y_t = y.transpose(0, 2, 1)
 
     def affinities() -> None:
         # Student-t kernel num = (1 + d^2)^-1 and Q = num / sum(num), with
-        # zero diagonals; Q is floored at P_FLOOR off the diagonal.
-        sq = (y * y).sum(axis=1)
-        np.add(sq[:, None], sq, out=num)
-        yy = y @ y.T
-        yy *= 2.0
-        np.subtract(num, yy, out=num)
+        # zero diagonals; Q is floored at P_FLOOR off the diagonal. The old
+        # Q is spent by now, so its array holds 2 y y^T until Q is written.
+        np.multiply(y, y, out=y_sq).sum(axis=2, out=sq)
+        np.add(sq_col, sq_row, out=num)
+        np.matmul(y, y_t, out=q)
+        np.multiply(q, 2.0, out=q)
+        np.subtract(num, q, out=num)
         np.maximum(num, 0.0, out=num)
         np.add(num, 1.0, out=num)
         np.divide(1.0, num, out=num)
         num_diag.fill(0.0)
-        np.divide(num, num.sum(), out=q)
+        num_flat.sum(axis=1, out=num_sums_flat)
+        np.divide(num, num_sums, out=q)
         np.maximum(q, P_FLOOR, out=q)
         q_diag.fill(0.0)
 
-    def kl() -> float:
+    def kl(out: np.ndarray) -> None:
         np.copyto(terms_block, q_off)
         if terms.min() <= 0:
             raise ValueError("q is zero on p's support; divergence is infinite")
         np.divide(ps, terms, out=terms)
         np.log(terms, out=terms)
         np.multiply(ps, terms, out=terms)
-        return float(terms.sum())
+        terms.sum(axis=1, out=out)
 
     affinities()
-    kl_trace = [kl()]
-    for it in range(config.iterations):
+    kl(kl_trace[0])
+    for it in range(iterations):
         # dKL/dy_i = 4 * sum_j (p_ij - q_ij) * (y_i - y_j) / (1 + |y_i - y_j|^2),
         # as (4 * (diag(rowsum(pq)) - pq)) @ y with pq = (p - q) * num.
+        # pq's diagonal is exactly +0.0 (zero p, q and num), so the row sums
+        # need no diagonal term taken out.
         if it < EXAGGERATION_ITERS:
-            np.multiply(p, EXAGGERATION, out=pq)
+            np.multiply(p_stack, EXAGGERATION, out=pq)
             pq -= q
         else:
-            np.subtract(p, q, out=pq)
+            np.subtract(p_stack, q, out=pq)
         pq *= num
-        row_sums = pq.sum(axis=1)
-        row_sums -= pq_diag
+        row_sums = pq.sum(axis=2)
         np.subtract(0.0, pq, out=pq)
         pq_diag[:] = row_sums
         pq *= 4.0
@@ -272,21 +312,26 @@ def tsne_fit(x: np.ndarray, config: TsneConfig | None = None, seed: int = 0) -> 
         velocity *= momentum
         velocity -= grad
         y += velocity
-        y -= y.sum(axis=0) / n  # y.mean(axis=0) in the same bits, minus its overhead
+        y -= y.sum(axis=1, keepdims=True) / n  # y.mean(axis=1) in the same bits, minus its overhead
         affinities()
-        kl_trace.append(kl())
+        kl(kl_trace[it + 1])
 
-    return TsneEmbedding(coords=y, kl_trace=kl_trace, p_matrix=p, q_matrix=q)
+    return [
+        TsneEmbedding(coords=y[i].copy(), kl_trace=trace, p_matrix=p, q_matrix=q[i].copy())
+        for i, trace in enumerate(kl_trace.T.tolist())
+    ]
 
 
 def _diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable view of a square C-contiguous array's diagonal."""
-    return a.reshape(-1)[:: a.shape[0] + 1]
+    """Writable view of the diagonal of each trailing n x n block of a
+    C-contiguous array."""
+    n = a.shape[-1]
+    return a.reshape(*a.shape[:-2], -1)[..., :: n + 1]
 
 
 def _off_diagonal(a: np.ndarray) -> np.ndarray:
-    """Writable (n-1) x n view of a square C-contiguous array's off-diagonal
-    entries in row-major order: dropping a[0, 0] leaves n-1 runs of n + 1
-    entries, each ending on the next diagonal entry."""
-    n = a.shape[0]
-    return a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1]
+    """Writable (n-1) x n view of each trailing n x n block's off-diagonal
+    entries in row-major order, for a C-contiguous array: dropping a[0, 0]
+    leaves n-1 runs of n + 1 entries, each ending on the next diagonal entry."""
+    lead, n = a.shape[:-2], a.shape[-1]
+    return a.reshape(*lead, -1)[..., 1:].reshape(*lead, n - 1, n + 1)[..., :-1]

@@ -138,8 +138,8 @@ def _embed_experiment(cfg: ExperimentConfig) -> list[Path]:
     vectors = np.stack([w.vector for w in windows])
 
     paths = []
-    for seed in cfg.seeds:
-        emb = tsne_fit(vectors, config=tsne_cfg, seed=seed)
+    embeddings = tsne_fit(vectors, config=tsne_cfg, seeds=cfg.seeds)
+    for seed, emb in zip(cfg.seeds, embeddings):
         cs = kmeans_fit(emb.coords, k=p["k"], seed=seed)
         embed_path = cfg.out_dir / f"embed_{seed}.csv"
         embed_path.write_text(embedding_csv(emb.coords, cs, windows, eps=p["eps"]))

@@ -46,13 +46,14 @@ class StepOutcome:
     done: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MazeSpec:
     """A rectangular maze: open_flags[x, y, d] says direction d is passable.
 
     The spec is immutable: its flags are a read-only copy, and the
     ``StepOutcome`` of every (cell, action) is built once, at construction,
-    for ``step`` to look up.
+    for ``step`` to look up. Two specs are equal when their dimensions,
+    start, goal and flag values are.
     """
 
     x_dim: int
@@ -98,6 +99,18 @@ class MazeSpec:
             for cell in self.cells()
         }
         object.__setattr__(self, "outcomes", outcomes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MazeSpec):
+            return NotImplemented
+        return (self.x_dim, self.y_dim, self.start, self.goal) == (
+            other.x_dim, other.y_dim, other.start, other.goal
+        ) and np.array_equal(self.open_flags, other.open_flags)
+
+    def __hash__(self) -> int:
+        # Flags equal by value are equal as booleans, so equal specs hash alike.
+        flags = self.open_flags.astype(bool).tobytes()
+        return hash((self.x_dim, self.y_dim, self.start, self.goal, flags))
 
     @property
     def base_reward(self) -> float:

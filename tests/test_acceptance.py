@@ -167,7 +167,7 @@ def test_criterion_6_tsne_objective_and_structure():
     recalls, purities = [], []
     for seed in (0, 1, 2):
         points, labels = three_gaussian_telemetry(seed)
-        emb = tsne_fit(points, seed=seed)
+        emb = tsne_fit(points, seeds=(seed,))[0]
         assert emb.kl_trace[-1] < emb.kl_trace[0]
 
         d = ((emb.coords[:, None, :] - emb.coords[None, :, :]) ** 2).sum(axis=2)

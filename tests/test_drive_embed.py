@@ -125,9 +125,9 @@ def test_tsne_rejects_non_finite():
 def test_tsne_is_deterministic_per_seed():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(12, 5))
-    a = tsne_fit(x, config=small_cfg(iterations=50), seed=9)
-    b = tsne_fit(x, config=small_cfg(iterations=50), seed=9)
-    c = tsne_fit(x, config=small_cfg(iterations=50), seed=10)
+    a = tsne_fit(x, config=small_cfg(iterations=50), seeds=(9,))[0]
+    b = tsne_fit(x, config=small_cfg(iterations=50), seeds=(9,))[0]
+    c = tsne_fit(x, config=small_cfg(iterations=50), seeds=(10,))[0]
     assert np.array_equal(a.coords, b.coords)
     assert not np.array_equal(a.coords, c.coords)
 
@@ -135,7 +135,7 @@ def test_tsne_is_deterministic_per_seed():
 def test_tsne_output_shape_and_trace_length():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(11, 3))
-    emb = tsne_fit(x, config=small_cfg(iterations=40), seed=0)
+    emb = tsne_fit(x, config=small_cfg(iterations=40), seeds=(0,))[0]
     assert emb.coords.shape == (11, 2)
     assert len(emb.kl_trace) == 41
 
@@ -143,14 +143,14 @@ def test_tsne_output_shape_and_trace_length():
 def test_tsne_final_kl_below_initial():
     x, _ = three_blobs(n_per=7, seed=3)
     for seed in range(3):
-        emb = tsne_fit(x, config=small_cfg(), seed=seed)
+        emb = tsne_fit(x, config=small_cfg(), seeds=(seed,))[0]
         assert emb.kl_trace[-1] < emb.kl_trace[0]
 
 
 def test_tsne_trace_matches_returned_matrices():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(12, 4))
-    emb = tsne_fit(x, config=small_cfg(iterations=30), seed=1)
+    emb = tsne_fit(x, config=small_cfg(iterations=30), seeds=(1,))[0]
     assert kl_divergence(emb.p_matrix, emb.q_matrix) == pytest.approx(
         emb.kl_trace[-1], abs=1e-12
     )
@@ -158,7 +158,7 @@ def test_tsne_trace_matches_returned_matrices():
 
 def test_tsne_separates_blobs():
     x, labels = three_blobs(n_per=20, seed=8)
-    emb = tsne_fit(x, config=TsneConfig(perplexity=8.0, iterations=400), seed=0)
+    emb = tsne_fit(x, config=TsneConfig(perplexity=8.0, iterations=400), seeds=(0,))[0]
     cs = kmeans_fit(emb.coords, k=3, seed=0)
     purity = 0
     for c in range(3):

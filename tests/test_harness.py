@@ -313,6 +313,43 @@ def test_cli_embed_smoke_and_determinism(tmp_path):
         assert (tmp_path / "e1" / name).read_bytes() == (tmp_path / "e2" / name).read_bytes()
 
 
+def test_embed_fits_all_seeds_in_one_tsne_call(tmp_path, monkeypatch):
+    """One t-SNE call (and one P) per embed run, whatever the seed count,
+    and each seed's files are those of a run with that seed alone."""
+    import hrl_lab.drive.tsne as tsne_module
+    import hrl_lab.harness.experiments as experiments
+
+    calls = {"tsne_fit": 0, "joint_probabilities": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(experiments, "tsne_fit")
+    counted(tsne_module, "joint_probabilities")
+    cfg = write_config(
+        tmp_path,
+        f"telemetry_csv = {TELEMETRY_FIXTURE}\nwindow = 10\nperplexity = 5\n"
+        f"iterations = 120\nk = 3\nn_examples = 2\nseeds = 4,0,9\nout = {tmp_path / 'all'}\n",
+    )
+    assert main(["embed", "--config", str(cfg)]) == 0
+    assert calls == {"tsne_fit": 1, "joint_probabilities": 1}
+    for seed in (4, 0, 9):
+        alone = tmp_path / f"alone_{seed}"
+        args = ["--config", str(cfg), "--out", str(alone), "--set", f"seeds={seed}"]
+        assert main(["embed", *args]) == 0
+        names = sorted(path.name for path in alone.iterdir())
+        assert names == [f"embed_{seed}.csv", f"report_{seed}.csv"]
+        for path in alone.iterdir():
+            assert path.read_bytes() == (tmp_path / "all" / path.name).read_bytes()
+    assert calls == {"tsne_fit": 4, "joint_probabilities": 4}
+
+
 def test_cli_embed_runtime_failure_is_exit_1(tmp_path):
     # the config is sound; the telemetry it names goes back in time
     rows = TELEMETRY_FIXTURE.read_text().splitlines()

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from hrl_lab.market_agents import (
+    ACTIONS,
+    N_ACTIONS,
+    RANDOM_BLOCK,
     DqnConfig,
+    _uniform_actions,
     behaviors_params,
     dqn_encode_state,
     dqn_inputs,
@@ -290,6 +294,19 @@ def test_seeded_runs_identical_across_agents():
         a = runner(MarketEnv(data), episodes=2, seed=11)
         b = runner(MarketEnv(data), episodes=2, seed=11)
         assert a == b, runner.__name__
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 17])
+def test_block_drawn_actions_follow_the_scalar_draws(seed):
+    """The random agent's block draws give the stream of one scalar
+    `integers` call per action, across block boundaries."""
+    n = 2 * RANDOM_BLOCK + RANDOM_BLOCK // 2
+    actions = _uniform_actions(np.random.default_rng(seed))
+    blocked = [next(actions) for _ in range(n)]
+    rng = np.random.default_rng(seed)
+    scalar = [ACTIONS[int(rng.integers(N_ACTIONS))] for _ in range(n)]
+    assert blocked == scalar
+    assert set(blocked) == set(ACTIONS)
 
 
 def test_no_doubling_yields_sentinel():

@@ -135,6 +135,20 @@ def test_spec_and_levels_are_read_only():
     assert sorted(level.cell_of) == sorted(spec.cells())
 
 
+def test_specs_compare_and_hash_by_value():
+    a, b = make_maze(4, 4), make_maze(4, 4)
+    assert a == b and not (a != b)
+    assert hash(a) == hash(b)
+    assert len({a, b, fixture_maze()}) == 2
+    walled = make_maze(4, 4, closed_edges=(((1, 1), (2, 1)),))
+    assert walled != a
+    assert walled == make_maze(4, 4, closed_edges=(((1, 1), (2, 1)),))
+    assert make_maze(4, 4, goal=(3, 2)) != a
+    assert make_maze(4, 4, start=(1, 0)) != a
+    assert make_maze(4, 5) != a
+    assert a != "maze"
+
+
 def test_build_levels_guards():
     with pytest.raises(ValueError):
         build_levels(make_maze(6, 6), 3)  # 6 not divisible by 4

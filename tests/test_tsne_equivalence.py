@@ -1,18 +1,23 @@
 """The exact t-SNE keeps its float bits.
 
-`tsne_fit` works in fit-scoped buffers and calibrates every row's
-precision in one batched binary search. The references below are the
-plain per-iteration loop and the one-row-at-a-time search that it
-replaced, written with fresh arrays; the fit must reproduce their
-coordinates, Q and KL trace byte for byte. The digests pin float bits,
-which depend on the numpy and BLAS build.
+`tsne_fit` works in fit-scoped buffers, calibrates every row's precision
+in one batched binary search and descends for all of a call's seeds in
+stacked work arrays. The references below are the plain per-iteration
+loop and the one-row-at-a-time search that it replaced, written with
+fresh arrays; the fit must reproduce their coordinates, Q and KL trace
+byte for byte, and a call with several seeds must give each seed the
+bytes of a call with that seed alone. The digests pin float bits, which
+depend on the numpy and BLAS build.
 """
 
 import hashlib
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hrl_lab.drive import load_telemetry, window_telemetry
 from hrl_lab.drive.tsne import (
     EXAGGERATION,
     EXAGGERATION_ITERS,
@@ -22,12 +27,15 @@ from hrl_lab.drive.tsne import (
     MOMENTUM_SWITCH,
     OUT_DIM,
     P_FLOOR,
+    STACK_CELLS,
     TsneConfig,
     _gaussian_rows,
     joint_probabilities,
     perplexity_calibration,
     tsne_fit,
 )
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # ------------------------------------------------------------- references
 
@@ -162,7 +170,7 @@ def same_bits(a, b):
 def test_golden_fit_at_perplexity_30():
     """150 points, 300 updates: crosses the end of early exaggeration and
     the momentum switch. Digests recorded with the per-iteration loop."""
-    emb = tsne_fit(golden_input(), TsneConfig(perplexity=30.0, iterations=300), seed=11)
+    emb = tsne_fit(golden_input(), TsneConfig(perplexity=30.0, iterations=300), seeds=(11,))[0]
     assert sha(emb.coords) == "270ec8066ed48bf79dfc73f94105381f279e75c8cd1636f089e8f6e94bcfa6c9"
     assert sha(emb.q_matrix) == "a4ca3d8d22229e055bfe5e23e9f0ff650adcb5fce5ec6eedbbb3d2629605974d"
     assert sha(emb.p_matrix) == "944efa8b6d0efa43d920506d39ebeda82cfafba8da05a4fd4260b34aa2ff8f0f"
@@ -183,13 +191,63 @@ FITS = [
 @pytest.mark.parametrize("x, perplexity, iterations, seeds", FITS)
 def test_fit_matches_the_reference_loop_bitwise(x, perplexity, iterations, seeds):
     for seed in seeds:
-        emb = tsne_fit(x, TsneConfig(perplexity=perplexity, iterations=iterations), seed=seed)
+        cfg = TsneConfig(perplexity=perplexity, iterations=iterations)
+        emb = tsne_fit(x, cfg, seeds=(seed,))[0]
         coords, p, q, trace = ref_tsne_fit(x, perplexity, iterations, seed)
         assert same_bits(emb.p_matrix, p)
         assert same_bits(emb.coords, coords)
         assert same_bits(emb.q_matrix, q)
         assert same_bits(emb.kl_trace, trace)
         assert all(type(v) is float for v in emb.kl_trace)
+
+
+def fixture_windows():
+    windows = window_telemetry(load_telemetry(FIXTURES / "telemetry.csv"), m=10)
+    return np.stack([w.vector for w in windows])
+
+
+# Sizes at which the cell cap stacks two seeds per group, and one.
+N_TWO_PER_GROUP = math.isqrt(STACK_CELLS // 2)
+N_ONE_PER_GROUP = 300
+
+STACKED_FITS = [
+    # (x, perplexity, iterations, seeds): all seeds in one group, groups of
+    # two with a short last one, and one seed per group.
+    pytest.param(fixture_windows(), 5.0, 500, (0, 1, 2, 3, 4), id="fixture-n30-one-group"),
+    pytest.param(blobs(N_TWO_PER_GROUP, 6, 8), 20.0, 120, (4, 0, 9, 2, 7), id="two-per-group"),
+    pytest.param(blobs(N_ONE_PER_GROUP, 10, 9), 30.0, 120, (2, 5), id="n300-one-per-group"),
+]
+
+
+@pytest.mark.parametrize("x, perplexity, iterations, seeds", STACKED_FITS)
+def test_stacked_seeds_match_one_seed_fits_bitwise(x, perplexity, iterations, seeds):
+    cfg = TsneConfig(perplexity=perplexity, iterations=iterations)
+    stacked = tsne_fit(x, cfg, seeds=seeds)
+    assert len(stacked) == len(seeds)
+    for seed, emb in zip(seeds, stacked):
+        alone = tsne_fit(x, cfg, seeds=(seed,))[0]
+        assert same_bits(emb.coords, alone.coords)
+        assert same_bits(emb.q_matrix, alone.q_matrix)
+        assert same_bits(emb.p_matrix, alone.p_matrix)
+        assert same_bits(emb.kl_trace, alone.kl_trace)
+        assert all(type(v) is float for v in emb.kl_trace)
+
+
+def test_stacked_groups_split_as_the_cell_cap_says():
+    """The sizes above put 5, 2 and 1 seeds in a group."""
+    assert STACK_CELLS // 30**2 >= 5
+    assert STACK_CELLS // N_TWO_PER_GROUP**2 == 2
+    assert STACK_CELLS // N_ONE_PER_GROUP**2 == 0
+
+
+def test_stacked_embeddings_own_their_arrays():
+    x = blobs(20, 3, 10)
+    a, b = tsne_fit(x, TsneConfig(perplexity=3.0, iterations=20), seeds=(0, 1))
+    for emb in (a, b):
+        assert emb.coords.flags.owndata and emb.q_matrix.flags.owndata
+    assert a.kl_trace is not b.kl_trace
+    with pytest.raises(ValueError, match="read-only"):
+        a.p_matrix[0, 1] = 1.0
 
 
 AFFINITY_INPUTS = [
